@@ -123,7 +123,7 @@ double run_once(Nanos duration, bool with_health) {
           *sketches[static_cast<std::size_t>(h)]);
       if (mon) mon->watermarks().note(health::Stage::kSketchSeal, t);
       for (auto& p : up.payloads) {
-        // umon-lint: allow(UL006) — health bench isolates the legacy path
+        // umon-sca: allow(SA009) health bench isolates the legacy path
         (void)channel.send(h, up.epoch, std::move(p.bytes), t);
       }
       awaiting.push_back({h, up.epoch, up.end_seq});

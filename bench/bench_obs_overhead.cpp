@@ -111,7 +111,7 @@ double run_once(Nanos duration, bool with_prof) {
       auto up = uplinks[static_cast<std::size_t>(h)].flush_epoch(
           *sketches[static_cast<std::size_t>(h)]);
       for (auto& p : up.payloads) {
-        // umon-lint: allow(UL006) — obs bench isolates the legacy path
+        // umon-sca: allow(SA009) obs bench isolates the legacy path
         (void)channel.send(h, up.epoch, std::move(p.bytes), t);
       }
       awaiting.push_back({h, up.epoch, up.end_seq});

@@ -287,7 +287,7 @@ int main(int argc, char** argv) {
     serve::Endpoints endpoints{server, svc};
     if (!server.start()) return 1;
 
-    // Relaxed on purpose (UL002 allowlist): the join publishes; the flag
+    // Relaxed on purpose (SA004 relaxed allowlist): the join publishes; the flag
     // only nudges the scraper loop to exit.
     std::atomic<bool> stop{false};
     std::atomic<std::uint64_t> scrape_count{0};

@@ -18,7 +18,7 @@ namespace umon::collector {
 
 class HostUplink {
  public:
-  // umon-lint: wire-struct
+  // umon-sca: wire-struct
   struct Payload {
     std::uint32_t epoch = 0;
     std::vector<std::uint8_t> bytes;
@@ -26,7 +26,7 @@ class HostUplink {
   };
   static_assert(std::is_nothrow_move_constructible_v<Payload>,
                 "payloads move through the lossy upload channel");
-  // umon-lint: wire-struct
+  // umon-sca: wire-struct
   struct EpochUpload {
     std::uint32_t epoch = 0;
     std::uint32_t end_seq = 0;  ///< pass to Collector::seal_epoch

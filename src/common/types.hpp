@@ -36,7 +36,7 @@ constexpr Nanos window_length(int shift = kDefaultWindowShift) {
 }
 
 /// 5-tuple flow identifier.
-// umon-lint: wire-struct
+// umon-sca: wire-struct
 struct FlowKey {
   std::uint32_t src_ip = 0;
   std::uint32_t dst_ip = 0;
@@ -76,7 +76,7 @@ enum class Ecn : std::uint8_t {
 /// A measured packet as seen by the monitoring layer. The simulator produces
 /// richer internal events; this is the projection both WaveSketch and the
 /// uEvent pipeline consume.
-// umon-lint: wire-struct
+// umon-sca: wire-struct
 struct PacketRecord {
   FlowKey flow;
   Nanos timestamp = 0;       ///< local observation time (ns)

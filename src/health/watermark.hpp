@@ -17,7 +17,7 @@
 //
 // note() is called from the simulation thread *and* from collector shard
 // workers, so the watermark cells are atomics. Relaxed ordering is
-// deliberate and registered in tools/lint/atomics_policy.txt: each cell is
+// deliberate and registered in tools/sca/atomics_policy.txt: each cell is
 // an independent monotonic max/min and every reader (the health sampler)
 // tolerates a stale value — it only ever under-reports progress by one
 // sample tick.

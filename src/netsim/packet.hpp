@@ -14,6 +14,7 @@ enum class PacketKind : std::uint8_t {
   kAck,   ///< TCP-like ACK carrying the DCTCP ECN echo
 };
 
+// umon-sca: wire-struct
 struct SimPacket {
   FlowKey flow;
   PacketKind kind = PacketKind::kData;

@@ -19,7 +19,7 @@
 // prof_enable() so exports can convert cycles to nanoseconds.
 //
 // This header is the only place in the tree allowed to touch rdtsc or a raw
-// OS clock on a hot path (umon-lint UL007 bans it everywhere else).
+// OS clock on a hot path (umon-sca SA010 bans it everywhere else).
 #pragma once
 
 #include <atomic>

@@ -45,7 +45,7 @@ enum class FrameKind : std::uint8_t { kData = 0, kAck = 1 };
 
 /// Decoded view of one frame. `payload` is a copy of the inner bytes (the
 /// channel consumed the buffer they arrived in).
-// umon-lint: wire-struct
+// umon-sca: wire-struct
 struct Frame {
   FrameKind kind = FrameKind::kData;
   std::uint32_t host = 0;
@@ -58,7 +58,7 @@ static_assert(std::is_nothrow_move_constructible_v<Frame>,
               "frames move through the retransmit buffer and the channel");
 
 /// Cumulative ACK + NACK list carried by a kAck frame.
-// umon-lint: wire-struct
+// umon-sca: wire-struct
 struct AckBody {
   std::uint32_t cum_ack = 0;
   std::uint32_t max_seen = 0;  ///< one past the highest frame_seq received

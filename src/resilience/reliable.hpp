@@ -27,7 +27,7 @@
 //
 // Passthrough mode (cfg.enabled = false) keeps the exact legacy behavior —
 // unframed payloads, fire-and-forget — so every driver routes through this
-// wrapper unconditionally (umon-lint UL006 forbids raw channel sends) and
+// wrapper unconditionally (umon-sca SA009 forbids raw channel sends) and
 // reliability is a config bit, not a code path fork.
 //
 // Threading: single-threaded by design. send / tick / the channel sink

@@ -12,6 +12,7 @@
 
 namespace umon::sketch {
 
+// umon-sca: wire-struct
 struct BucketReport {
   WindowId w0 = 0;              ///< absolute id of the first window
   std::uint32_t length = 0;     ///< number of windows covered (pre-padding)

@@ -9,7 +9,6 @@ namespace umon::sketch {
 namespace {
 
 constexpr std::uint16_t kMagic = 0xA10E;
-constexpr std::uint8_t kVersionV1 = 1;
 constexpr std::uint8_t kVersion = 2;
 constexpr std::uint8_t kFlagHasFlow = 0x01;
 /// Upper bounds that a well-formed report never exceeds; decoding rejects
@@ -38,6 +37,7 @@ bool get(std::span<const std::uint8_t> in, std::size_t& offset, T& value) {
 }
 
 /// Everything in a report header except the coefficient payload.
+// umon-sca: wire-struct
 struct Header {
   std::uint8_t version = kVersion;
   std::uint8_t row = 0;
@@ -57,30 +57,28 @@ struct Header {
 static_assert(std::is_trivially_copyable_v<Header>);
 static_assert(std::is_standard_layout_v<Header>);
 
-/// Parse and validate a header (v1 or v2). The consistency check against
-/// length/levels mirrors what wavelet::reconstruct assumes, so a report that
-/// passes here can be reconstructed without out-of-bounds reads.
+/// Parse and validate a version-2 header; any other version is rejected.
+/// The consistency check against length/levels mirrors what
+/// wavelet::reconstruct assumes, so a report that passes here can be
+/// reconstructed without out-of-bounds reads.
 bool read_header(std::span<const std::uint8_t> in, std::size_t& offset,
                  Header& h) {
   std::uint16_t magic;
   if (!get(in, offset, magic) || magic != kMagic) return false;
-  if (!get(in, offset, h.version)) return false;
-  if (h.version != kVersionV1 && h.version != kVersion) return false;
-  if (h.version >= kVersion) {
-    std::uint8_t flags;
-    if (!get(in, offset, flags)) return false;
-    if (flags & ~kFlagHasFlow) return false;  // unknown flags: reject
-    h.has_flow = flags & kFlagHasFlow;
+  if (!get(in, offset, h.version) || h.version != kVersion) return false;
+  std::uint8_t flags;
+  if (!get(in, offset, flags)) return false;
+  if (flags & ~kFlagHasFlow) return false;  // unknown flags: reject
+  h.has_flow = flags & kFlagHasFlow;
+  if (!get(in, offset, h.row) || !get(in, offset, h.col) ||
+      !get(in, offset, h.seq)) {
+    return false;
   }
-  if (!get(in, offset, h.row) || !get(in, offset, h.col)) return false;
-  if (h.version >= kVersion) {
-    if (!get(in, offset, h.seq)) return false;
-    if (h.has_flow) {
-      if (!get(in, offset, h.flow.src_ip) || !get(in, offset, h.flow.dst_ip) ||
-          !get(in, offset, h.flow.src_port) ||
-          !get(in, offset, h.flow.dst_port) || !get(in, offset, h.flow.proto)) {
-        return false;
-      }
+  if (h.has_flow) {
+    if (!get(in, offset, h.flow.src_ip) || !get(in, offset, h.flow.dst_ip) ||
+        !get(in, offset, h.flow.src_port) ||
+        !get(in, offset, h.flow.dst_port) || !get(in, offset, h.flow.proto)) {
+      return false;
     }
   }
   if (!get(in, offset, h.w0) || !get(in, offset, h.length) ||

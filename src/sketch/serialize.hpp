@@ -13,8 +13,8 @@
 // v2 adds the per-report sequence number (so the collector can count gaps
 // left by lost uploads) and an optional flow tag (heavy-part reports carry
 // the flow they are dedicated to, so the analyzer can stitch per-flow curves
-// without host-side state). Version 1 payloads (no flags/seq/flow) still
-// decode; encoding always writes version 2.
+// without host-side state). Only version 2 is written or accepted; a
+// version-1 header (no flags/seq/flow) fails to decode.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +58,7 @@ std::size_t encode_report(const TaggedReport& report,
 /// does not allocate or parse coefficients. The collector front-end uses it
 /// to split a batch across ingest shards (by flow hash) while leaving the
 /// expensive decode + reconstruction to the shard workers.
+// umon-sca: wire-struct
 struct ReportFrame {
   std::size_t begin = 0;  ///< first byte of the report within the buffer
   std::size_t end = 0;    ///< one past the last byte

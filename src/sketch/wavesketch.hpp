@@ -17,7 +17,7 @@ namespace umon::sketch {
 
 /// A bucket report tagged with its grid position, as uploaded to the
 /// analyzer at the end of each measurement period.
-// umon-lint: wire-struct
+// umon-sca: wire-struct
 struct TaggedReport {
   int row = 0;
   std::uint32_t col = 0;

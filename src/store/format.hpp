@@ -64,7 +64,7 @@ enum class RecordKind : std::uint8_t {
 /// segment this compaction output supersedes (recovery unlinks the old
 /// file if a crash landed between rename and unlink), kReplacesNone
 /// otherwise.
-// umon-lint: wire-struct
+// umon-sca: wire-struct
 struct SegmentHeader {
   std::uint32_t magic = kSegmentMagic;
   std::uint16_t version = kSegmentVersion;
@@ -88,7 +88,7 @@ static_assert(sizeof(SegmentHeader) == 24,
 /// worst analyzer::WindowConfidence across the record's windows (0 for
 /// non-curve records); `flow_hash16` is a routing/filter hint (low 16 bits
 /// of FlowKey::packed(), 0 for non-flow records).
-// umon-lint: wire-struct
+// umon-sca: wire-struct
 struct RecordHeader {
   std::uint32_t payload_len = 0;
   std::uint8_t kind = 0;

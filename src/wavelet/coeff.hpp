@@ -13,6 +13,7 @@ namespace umon::wavelet {
 /// A detail coefficient of the (un-normalized) Haar transform used by
 /// WaveSketch. `level` is 0-based: level l pairs blocks of 2^l windows, so
 ///   d_l[j] = sum(block 2j at level l) - sum(block 2j+1 at level l).
+// umon-sca: wire-struct
 struct DetailCoeff {
   std::uint8_t level = 0;
   std::uint32_t index = 0;

@@ -702,7 +702,7 @@ LossyResult run_lossy(double loss_rate) {
             *sketches[static_cast<std::size_t>(h)]);
     end_seq[static_cast<std::size_t>(h)] = upload.end_seq;
     for (auto& p : upload.payloads) {
-      // umon-lint: allow(UL006) — this test measures the raw lossy channel
+      // umon-sca: allow(SA009) this test measures the raw lossy channel
       if (!channel.send(h, upload.epoch, std::move(p.bytes),
                         /*now=*/h * kMicro)) {
         res.reports_in_dropped_payloads += p.reports;

@@ -70,9 +70,11 @@ TEST(Serialize, RoundTripFlowTagged) {
   EXPECT_EQ(got->report.approx, orig.report.approx);
 }
 
-TEST(Serialize, DecodesVersion1Payloads) {
-  // Hand-craft the v1 layout: magic, version, row, col, w0, length, levels,
-  // approx_count, detail_count, then coefficients — no flags/seq/flow.
+TEST(Serialize, RejectsVersion1Payloads) {
+  // Hand-craft a well-formed v1 report: magic, version, row, col, w0,
+  // length, levels, approx_count, detail_count, then coefficients — no
+  // flags/seq/flow. Only v2 is accepted, so both the decoder and the
+  // collector's framing scan must refuse it.
   std::vector<std::uint8_t> buf;
   auto put = [&buf](auto v) {
     std::uint8_t tmp[sizeof(v)];
@@ -96,15 +98,9 @@ TEST(Serialize, DecodesVersion1Payloads) {
   put(std::int32_t{-5});               // value
 
   std::size_t offset = 0;
-  auto got = decode_report(buf, offset);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(offset, buf.size());
-  EXPECT_EQ(got->row, 2);
-  EXPECT_EQ(got->col, 197u);
-  EXPECT_EQ(got->seq, 0u);  // v1 carries no sequence number
-  EXPECT_FALSE(got->flow.has_value());
-  EXPECT_EQ(got->report.length, 7u);
-  EXPECT_EQ(got->report.approx, (std::vector<Count>{11, 22}));
+  EXPECT_FALSE(decode_report(buf, offset).has_value());
+  offset = 0;
+  EXPECT_FALSE(scan_report(buf, offset).has_value());
 }
 
 TEST(Serialize, BatchSequenceStamping) {

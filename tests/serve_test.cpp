@@ -597,7 +597,7 @@ TEST(ServeConcurrency, PublishScrapeAndStreamRace) {
   ASSERT_TRUE(server.start());
   server.set_snapshot("status", "{\"phase\":\"warm\"}");
 
-  // Relaxed on purpose (UL002 allowlist): the joins below publish; the
+  // Relaxed on purpose (SA004 relaxed allowlist): the joins below publish; the
   // flag only nudges loops to exit and the counter is read after joining.
   std::atomic<bool> stop{false};
   std::atomic<int> bad_responses{0};

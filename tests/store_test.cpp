@@ -932,7 +932,7 @@ TEST(StoreConcurrency, WriterSealerQueriesAndMaintainShareOneStore) {
   constexpr int kEpochs = 48;
   constexpr int kFlows = 8;
   // Release/acquire pair "store-concurrency-stop" (see the [pairs] ledger
-  // in tools/lint/atomics_policy.txt): the writer publishes completion, the
+  // in tools/sca/atomics_policy.txt): the writer publishes completion, the
   // reader threads' acquire loads make every append it did visible to the
   // final consistency check below.
   std::atomic<bool> stop{false};

@@ -8,7 +8,8 @@ Both files are bench/support/snapshot.hpp output: a flat JSON object whose
 "bench" key names the snapshot and whose remaining keys are metrics. The
 direction of "worse" is inferred from the key name:
 
-  * lower is better:  keys ending in _us, _ns, _ms, _seconds (latencies);
+  * lower is better:  keys ending in _us, _ns, _ms, _seconds (latencies)
+    or _pct (overheads such as serve_overhead_pct);
   * higher is better: keys ending in _mops, _rps, _mbs, _mbps, or
     containing "speedup" (throughputs);
   * anything else (configuration echoes like hosts, packets_per_window,
@@ -30,7 +31,7 @@ import argparse
 import json
 import sys
 
-LOWER_BETTER_SUFFIXES = ("_us", "_ns", "_ms", "_seconds")
+LOWER_BETTER_SUFFIXES = ("_us", "_ns", "_ms", "_seconds", "_pct")
 HIGHER_BETTER_SUFFIXES = ("_mops", "_rps", "_mbs", "_mbps")
 
 

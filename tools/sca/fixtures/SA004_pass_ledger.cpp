@@ -1,6 +1,6 @@
 // SA004 pass: the release store and its acquire partner are both named by
-// the fixture-ready pair in atomics_ledger.txt; the relaxed counter is
-// UL002's business, not the ledger's.
+// the fixture-ready pair in atomics_policy.txt; the relaxed counter is
+// covered by the file's relaxed-allowlist entry, not by the ledger.
 #include <atomic>
 #include <cstdint>
 

@@ -2,7 +2,7 @@
 // them -- byte-identical sizeof, silently incompatible wire layout.
 #include <cstdint>
 
-// umon-lint: wire-struct
+// umon-sca: wire-struct
 struct FixtureWireDrift {
   std::uint32_t id = 0;
   std::uint16_t hi = 0;

@@ -2,7 +2,7 @@
 // wire_schema.lock field-for-field.
 #include <cstdint>
 
-// umon-lint: wire-struct
+// umon-sca: wire-struct
 struct FixtureWireOk {
   std::uint32_t magic = 0;
   std::uint16_t version = 0;

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""umon-sca -- semantic static analysis for the uMon tree.
+"""umon-sca -- static analysis for the uMon tree.
 
-Where umon-lint (tools/lint/umon_lint.py) enforces token-level invariants,
-umon-sca reasons about structure: it parses every translation unit into a
-small intermediate representation (functions with an ordered event stream of
-lock acquisitions, calls, atomic operations, allocations, and profiler
-scopes) and runs five interprocedural rules over it:
+uMon's correctness rests on rules the compiler never checks: nanosecond
+timestamps shifted into 8.192 us windows, wire structs that must decode
+bit-exactly under loss, deterministic replay from a seed, and a reviewed
+atomics policy.  umon-sca parses every translation unit into a small
+intermediate representation (functions with an ordered event stream of lock
+acquisitions, calls, atomic operations, allocations, and profiler scopes,
+plus the comment- and string-stripped source lines) and runs ten rules:
 
   SA001  lock-order inversion: build the global mutex-acquisition graph from
          lock_guard/unique_lock/scoped_lock sites (including locks taken by
@@ -17,54 +19,58 @@ scopes) and runs five interprocedural rules over it:
          that one mutex.
   SA003  allocation in the per-packet hot path: interprocedural -- no
          new/malloc/container growth reachable from a function whose
-         UMON_PROF_SCOPE stage has a per-packet sampling period in the
-         PR 7 stage table (kProfPeriod >= --hot-period).
-  SA004  atomics happens-before ledger: every non-relaxed atomic operation
-         (explicit acquire/release/acq_rel/seq_cst, or the implicit seq_cst
-         default) must be named in the [pairs] ledger section of
-         tools/lint/atomics_policy.txt, and every ledger pair must have both
-         a release-side and an acquire-side row.  Relaxed ops are governed
-         by umon-lint UL002 instead.
-  SA005  wire-schema lockfile: the field names/offsets/sizes of every
-         `// umon-lint: wire-struct` pinned struct are extracted and diffed
-         against the checked-in tools/sca/wire_schema.lock.  Stronger than
-         the static_asserts: catches reordering and silent field renames.
+         UMON_PROF_SCOPE stage is sampled 1-in-64 or sparser in the
+         profiler's stage table (kProfPeriod >= HOT_PERIOD).
+  SA004  atomics policy (tools/sca/atomics_policy.txt): memory_order_relaxed
+         may appear only in files matched by the relaxed allowlist, and every
+         allowlist glob must still match a relaxed site; every non-relaxed
+         atomic operation (explicit acquire/release/acq_rel/seq_cst, or the
+         implicit seq_cst default) must be named in the [pairs] ledger, and
+         every ledger pair must have both a release-side and an
+         acquire-side row.
+  SA005  wire structs: every `// umon-sca: wire-struct` struct needs a
+         static_assert naming it within 12 lines of its closing brace, and
+         its field names/offsets/sizes must match the checked-in
+         tools/sca/wire_schema.lock (catches reordering and silent renames
+         that keep sizeof unchanged).
+  SA006  raw time-unit literal (1'000, 1'000'000, 1'000'000'000) as a unit
+         factor in time-typed context outside src/common/types.hpp; use
+         kMicro/kMilli/kSecond or a named constexpr on the same line.
+  SA007  rand()/srand()/std::chrono::system_clock in src/netsim,
+         src/sketch, or src/collector: replay must be deterministic from a
+         seed (umon::Rng) and wall-clock free.
+  SA008  float/double arithmetic on a Nanos/WindowId value without an
+         explicit static_cast (64-bit timestamps lose precision past 2^53).
+  SA009  direct send() on an upload channel outside the reliable uplink
+         (src/resilience/reliable.cpp) and src/netsim/: raw sends bypass CRC
+         framing, retransmits, and confidence-flag accounting.
+  SA010  rdtsc/__rdtsc/clock_gettime in a hot-path directory outside the
+         profiler shim (src/obs/prof.{hpp,cpp}); use UMON_PROF_SCOPE, or
+         telemetry::monotonic_ns off the hot path.
 
-Backends
---------
-  --backend internal    hermetic structural parser (no toolchain needed);
-                        the deterministic reference gate used by ctest/CI.
-  --backend libclang    real clang ASTs via the clang.cindex python
-                        bindings, when installed.
-  --backend clang-json  `clang++ -Xclang -ast-dump=json` over the exported
-                        compile_commands.json, when clang++ is on PATH.
-  --backend auto        libclang > clang-json > internal.
-
-Requesting a clang backend that is unavailable exits with code 3 (SKIP)
-and a clear message; `auto` never skips because the internal backend is
-always available.  SA005 extraction is intentionally backend-independent
-(purely structural) so wire_schema.lock is byte-identical everywhere.
+SA006-SA010 are line-local: each decides from one stripped source line.
 
 Suppressions: `// umon-sca: allow(SA002) <justification>` on the finding
 line or the line above.  A suppression without a justification does not
 suppress and is itself reported (SA000).
 
-Exit codes: 0 clean, 1 findings, 2 usage/internal error, 3 backend SKIP.
+Self-test fixtures may stand in for a file elsewhere in the tree (for the
+path-sensitive rules) with `// umon-sca-fixture: path=src/sketch/x.cpp` in
+their first lines.
+
+Exit codes: 0 clean, 1 findings, 2 usage/internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import fnmatch
-import hashlib
 import json
 import os
 import re
-import shutil
-import subprocess
 import sys
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 TOOL = "umon-sca"
 
 REPO_ROOT = os.path.dirname(
@@ -75,16 +81,26 @@ SKIP_DIR_NAMES = {"build", "build-tsan", ".git", "fixtures", "__pycache__"}
 DEFAULT_ROOTS = ["src", "tests", "bench", "examples"]
 
 DEFAULT_LOCKFILE = os.path.join("tools", "sca", "wire_schema.lock")
-DEFAULT_LEDGER = os.path.join("tools", "lint", "atomics_policy.txt")
+DEFAULT_LEDGER = os.path.join("tools", "sca", "atomics_policy.txt")
 DEFAULT_PROF_TABLE = os.path.join("src", "obs", "prof.hpp")
-DEFAULT_HOT_PERIOD = 64
+HOT_PERIOD = 64
 
 RULES = {
     "SA001": "lock-order inversion (potential deadlock cycle)",
     "SA002": "blocking call reachable while a mutex is held",
     "SA003": "allocation reachable from a per-packet hot path",
-    "SA004": "non-relaxed atomic op missing from the happens-before ledger",
-    "SA005": "wire struct layout drifted from wire_schema.lock",
+    "SA004": "atomic op outside the relaxed allowlist / happens-before "
+             "ledger",
+    "SA005": "wire struct without an adjacent static_assert, or drifted "
+             "from wire_schema.lock",
+    "SA006": "raw time-unit literal; use kMicro/kMilli/kSecond or a named "
+             "constexpr",
+    "SA007": "rand()/system_clock in a deterministic hot path",
+    "SA008": "float/double arithmetic on Nanos/WindowId without an explicit "
+             "static_cast",
+    "SA009": "direct upload-channel send outside the reliable uplink",
+    "SA010": "raw rdtsc/clock_gettime on a hot path outside the profiler "
+             "shim",
 }
 META_RULE = "SA000"  # malformed suppression comments
 
@@ -131,6 +147,7 @@ GTEST_MACROS = {"TEST", "TEST_F", "TEST_P", "TYPED_TEST", "TYPED_TEST_P"}
 
 ALLOW_RE = re.compile(
     r"//\s*umon-sca:\s*allow\(\s*([A-Z0-9_,\s]+?)\s*\)\s*:?\s*(.*?)\s*$")
+WIRE_MARKER_RE = re.compile(r"umon-sca:\s*wire-struct\b")
 
 # Sizes/alignments of the fixed-width scalar vocabulary wire structs use.
 SCALAR_LAYOUT = {
@@ -164,10 +181,10 @@ class Finding:
 class Event:
     """One ordered happening inside a function body."""
     __slots__ = ("kind", "line", "name", "receiver", "args", "order",
-                 "mutexes", "guard", "depth")
+                 "mutexes", "guard")
 
     def __init__(self, kind, line, name, receiver="", args="", order="",
-                 mutexes=None, guard="", depth=0):
+                 mutexes=None, guard=""):
         self.kind = kind          # lock | unlock | call | atomic | alloc | prof
         self.line = line
         self.name = name          # callee base / mutex expr / stage / var
@@ -176,7 +193,6 @@ class Event:
         self.order = order        # memory order for atomic events
         self.mutexes = mutexes or []  # resolved mutex ids (lock/unlock)
         self.guard = guard        # guard variable name (lock/unlock)
-        self.depth = depth
 
 
 class FunctionIR:
@@ -204,25 +220,27 @@ class StructField:
 
 
 class StructIR:
-    __slots__ = ("name", "qual", "file", "line", "fields", "wire")
+    __slots__ = ("name", "qual", "file", "line", "end", "fields", "wire")
 
     def __init__(self, name, qual, file, line, wire):
         self.name = name
         self.qual = qual
         self.file = file
         self.line = line
+        self.end = line           # line of the closing brace
         self.fields = []
         self.wire = wire
 
 
 class FileIR:
-    __slots__ = ("rel", "raw", "functions", "structs", "atomic_decls",
-                 "mutex_decls", "member_types", "classes", "allows",
-                 "malformed")
+    __slots__ = ("rel", "raw", "code", "functions", "structs",
+                 "atomic_decls", "mutex_decls", "member_types", "classes",
+                 "allows", "malformed")
 
     def __init__(self, rel, raw):
         self.rel = rel
         self.raw = raw
+        self.code = []                # comment/string-stripped lines
         self.functions = []
         self.structs = []
         self.atomic_decls = set()     # names declared std::atomic here
@@ -425,7 +443,7 @@ def parse_allows(raw_lines):
     return allows, malformed
 
 # ---------------------------------------------------------------------------
-# Internal structural backend
+# Structural parser
 # ---------------------------------------------------------------------------
 
 CLASS_RE = re.compile(
@@ -561,10 +579,8 @@ def _extract_fn_name(sig):
     return name
 
 
-class InternalBackend:
+class Parser:
     """Structural parser: no toolchain required, fully hermetic."""
-
-    name = "internal"
 
     def parse(self, rel, raw):
         fir = FileIR(rel, raw)
@@ -573,8 +589,9 @@ class InternalBackend:
         fir.allows = allows
         fir.malformed = malformed
         marker_lines = {i for i, l in enumerate(raw_lines, start=1)
-                        if re.search(r"umon-lint:\s*wire-struct", l)}
+                        if WIRE_MARKER_RE.search(l)}
         text = strip_comments_and_strings(raw)
+        fir.code = text.split("\n")
         stack = [_Ctx("ns", "")]
         pending = []
         pending_line = 1
@@ -646,7 +663,7 @@ class InternalBackend:
                     pending_fresh = True
                     if ctx.kind == "fn":
                         ctx.fn.file = rel
-                        ctx.fn.line = self._sig_line(sig, line, pending_line)
+                        ctx.fn.line = line  # the line its body opens on
                         if not ctx.fn.cls:
                             encl = cur_class()
                             if encl is not None:
@@ -680,6 +697,8 @@ class InternalBackend:
                 pending_fresh = True
                 if len(stack) > 1:
                     closing = stack.pop()
+                    if closing.struct is not None:
+                        closing.struct.end = line
                     fn = cur_fn() if closing.fn is None else closing.fn
                     if fn is not None:
                         for g in closing.guards:
@@ -697,12 +716,6 @@ class InternalBackend:
             i += 1
         flush(pending_line)
         return fir
-
-    @staticmethod
-    def _sig_line(sig, brace_line, pending_line):
-        # Attribute the function to the line its brace opens on; close enough
-        # for reporting and stable across reformatting.
-        return brace_line
 
     def _classify(self, sig, stack, paren_depth, enclosing_fn):
         if paren_depth > 0 or not sig:
@@ -888,6 +901,117 @@ def _class_of_type(type_text):
     return ""
 
 # ---------------------------------------------------------------------------
+# Line-local rules (SA006-SA010) over the stripped source lines
+# ---------------------------------------------------------------------------
+
+# SA006: the one file allowed to define the raw unit constants, the unit
+# values, and what makes a line "time-typed context" (deliberately
+# conservative: plain loop bounds and byte counts do not match).
+TIME_CONSTANT_HOME = "src/common/types.hpp"
+TIME_UNIT_VALUES = {1000, 1000000, 1000000000}
+TIME_CONTEXT_RE = re.compile(
+    r"\b(Nanos|WindowId|nanos\w*|ns|usec\w*|micro\w*|milli\w*|"
+    r"timestamp\w*|deadline\w*|timeout\w*|latency\w*|delay\w*|"
+    r"jitter\w*|duration\w*|window_of|window_start|window_length|"
+    r"deliver_at|sent_at)\b|\w+_ns\b",
+    re.IGNORECASE)
+NAMED_CONSTEXPR_RE = re.compile(r"\bconstexpr\b[^=;]*\bk[A-Z]\w*\s*=")
+INT_LITERAL_RE = re.compile(r"(?<![\w.])(\d+)(?:[uUlL]{0,3})(?![\w.'])")
+
+DETERMINISTIC_DIRS = ("src/netsim", "src/sketch", "src/collector")
+NONDETERMINISTIC_RE = re.compile(
+    r"(?<![\w:])(?:std::)?s?rand\s*\(|\bsystem_clock\b")
+
+FLOAT_LITERAL_RE = re.compile(
+    r"(?<![\w.])(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+    r"|\d+[eE][+-]?\d+)[fF]?(?![\w.])")
+TIME_TOKEN_RE = re.compile(r"\b(Nanos|WindowId)\b|\b\w+_ns\b")
+EXPLICIT_CAST_RE = re.compile(
+    r"static_cast<\s*(?:double|float|Nanos|WindowId|long double|"
+    r"std::u?int\d+_t|u?int\d+_t)\s*>")
+
+CHANNEL_SEND_EXEMPT = ("src/resilience/reliable.cpp", "src/netsim/")
+CHANNEL_SEND_RE = re.compile(r"\b\w*[Cc]hannel\w*\s*(?:\.|->)\s*send\s*\(")
+
+HOT_CLOCK_DIRS = ("src/sketch", "src/wavelet", "src/collector", "src/store",
+                  "src/resilience", "src/analyzer", "src/netsim", "src/obs")
+PROF_SHIM = ("src/obs/prof.hpp", "src/obs/prof.cpp")
+RAW_CLOCK_RE = re.compile(
+    r"\b(__builtin_ia32_rdtscp?|__rdtscp?|rdtscp?|clock_gettime)\s*\(")
+
+
+def _unit_factor(norm, m):
+    """True when the literal acts as a unit factor: operand of * / %, or the
+    value of an assignment/return.  Loop bounds, comparisons, and plain call
+    arguments are not unit positions."""
+    before = norm[:m.start()].rstrip()
+    after = norm[m.end():].lstrip()
+    if before.endswith(("*", "/", "%")) or after[:1] in ("*", "/", "%"):
+        return True
+    if before.endswith("=") and not before.endswith(("==", "<=", ">=", "!=")):
+        return True
+    return bool(re.search(r"\breturn$", before))
+
+
+def line_findings(fir, rules):
+    """Yield (rule, line, message) for SA006-SA010 over fir.code."""
+    rel = fir.rel.replace(os.sep, "/")
+    active = set(rules)
+    if rel.endswith(TIME_CONSTANT_HOME):
+        active.discard("SA006")
+    if not any(d in rel for d in DETERMINISTIC_DIRS):
+        active.discard("SA007")
+    if any(p in rel for p in CHANNEL_SEND_EXEMPT):
+        active.discard("SA009")
+    if not any(d in rel for d in HOT_CLOCK_DIRS) or rel.endswith(PROF_SHIM):
+        active.discard("SA010")
+    for lineno, code in enumerate(fir.code, start=1):
+        if not code or code.isspace():
+            continue
+        norm = re.sub(r"(?<=\d)'(?=\d)", "", code) if "'" in code else code
+        if "SA006" in active and TIME_CONTEXT_RE.search(norm) and \
+                not NAMED_CONSTEXPR_RE.search(norm):
+            for m in INT_LITERAL_RE.finditer(norm):
+                if int(m.group(1)) in TIME_UNIT_VALUES and \
+                        _unit_factor(norm, m):
+                    yield ("SA006", lineno,
+                           f"raw time-unit literal {m.group(1)} in "
+                           "time-typed context; use kMicro/kMilli/kSecond "
+                           "or a named constexpr")
+                    break
+        m = "SA007" in active and NONDETERMINISTIC_RE.search(code)
+        if m:
+            yield ("SA007", lineno,
+                   f"non-deterministic primitive `{m.group(0).strip()}` in "
+                   "a deterministic hot path; use the seeded umon::Rng / "
+                   "simulation time")
+        if "SA008" in active and TIME_TOKEN_RE.search(norm) and \
+                FLOAT_LITERAL_RE.search(norm):
+            # Arithmetic must remain once the float literals are gone (the
+            # '-' in 1e-9 is not arithmetic); ++/-- do not count.
+            residue = FLOAT_LITERAL_RE.sub("", norm)
+            residue = residue.replace("++", "").replace("--", "")
+            if re.search(r"[+\-*/]", residue) and \
+                    not EXPLICIT_CAST_RE.search(norm):
+                yield ("SA008", lineno,
+                       "float/double arithmetic mixed with Nanos/WindowId "
+                       "without an explicit static_cast (precision loss "
+                       "past 2^53 ns)")
+        m = "SA009" in active and CHANNEL_SEND_RE.search(code)
+        if m:
+            yield ("SA009", lineno,
+                   f"direct upload-channel send `{m.group(0).strip()}` "
+                   "bypasses the reliable uplink (CRC framing, retransmits, "
+                   "confidence flags); route through "
+                   "resilience::ReliableLink")
+        m = "SA010" in active and RAW_CLOCK_RE.search(code)
+        if m:
+            yield ("SA010", lineno,
+                   f"raw clock `{m.group(1)}` on a hot path outside the "
+                   "profiler shim; use UMON_PROF_SCOPE or "
+                   "telemetry::monotonic_ns off the hot path")
+
+# ---------------------------------------------------------------------------
 # Cross-TU analysis
 # ---------------------------------------------------------------------------
 
@@ -904,23 +1028,28 @@ class LedgerRow:
 
 
 def load_ledger(path):
-    """Parse the [pairs] section of atomics_policy.txt.
+    """Parse atomics_policy.txt.
 
-    Row grammar: ``pair <pair-name> <file-glob> <var> <release|acquire|both>``
-    Lines before the first section header are UL002's relaxed-allowlist and
-    are ignored here.  Returns (rows, errors)."""
-    rows, errors = [], []
+    Lines before the first section header are the relaxed allowlist, one
+    fnmatch glob per line.  The [pairs] section holds the happens-before
+    ledger, one row per line:
+    ``pair <pair-name> <file-glob> <var> <release|acquire|both>``.
+    Returns (globs as [(glob, line)], rows, errors)."""
+    globs, rows, errors = [], [], []
     if not os.path.exists(path):
-        return rows, errors
+        return globs, rows, errors
     section = ""
     with open(path, encoding="utf-8") as fh:
         for idx, line in enumerate(fh, start=1):
-            s = line.strip()
-            if not s or s.startswith("#"):
+            s = line.split("#", 1)[0].strip()
+            if not s:
                 continue
             m = re.fullmatch(r"\[(\w+)\]", s)
             if m:
                 section = m.group(1)
+                continue
+            if not section:
+                globs.append((s, idx))
                 continue
             if section != "pairs":
                 continue
@@ -932,7 +1061,7 @@ def load_ledger(path):
                 continue
             rows.append(LedgerRow(parts[1], parts[2], parts[3], parts[4],
                                   idx))
-    return rows, errors
+    return globs, rows, errors
 
 
 def load_prof_table(path):
@@ -957,12 +1086,11 @@ def load_prof_table(path):
 
 
 class Analyzer:
-    def __init__(self, files, rules, ledger_rows, prof_table, hot_period):
+    def __init__(self, files, relaxed_globs, ledger_rows, prof_table):
         self.files = files
-        self.rules = rules
+        self.relaxed_globs = relaxed_globs
         self.ledger_rows = ledger_rows
         self.prof_table = prof_table
-        self.hot_period = hot_period
         self.findings = []
         self.suppressed = 0
         self._seen = set()
@@ -1330,7 +1458,7 @@ class Analyzer:
             for ev in fn.events:
                 if ev.kind == "prof":
                     period = self.prof_table.get(ev.name, 0)
-                    if period >= self.hot_period:
+                    if period >= HOT_PERIOD:
                         roots.append((fn, ev.name))
                         break
         return roots
@@ -1367,7 +1495,7 @@ class Analyzer:
                             "SA003", fn.file, ev.line,
                             f"allocation `{what}` in {fn.qual} is reachable "
                             f"from per-packet hot stage {stage} (root "
-                            f"{root.qual}, period >= {self.hot_period})"
+                            f"{root.qual}, period >= {HOT_PERIOD})"
                             f"{via}")
                     elif ev.kind == "call":
                         for callee in self.resolve_call(ev, fn):
@@ -1389,7 +1517,32 @@ class Analyzer:
             return "release"
         return "both"
 
-    def run_sa004(self, ledger_path, scanned_rels, check_stale):
+    def run_sa004(self, ledger_path):
+        scanned_rels = [f.rel for f in self.files]
+        relaxed_files = set()
+        for f in self.files:
+            lines = [i for i, code in enumerate(f.code, start=1)
+                     if "memory_order_relaxed" in code]
+            if not lines:
+                continue
+            relaxed_files.add(f.rel)
+            if any(fnmatch.fnmatch(f.rel, g) for g, _ in self.relaxed_globs):
+                continue
+            for line in lines:
+                self.emit(
+                    "SA004", f.rel, line,
+                    "memory_order_relaxed outside the relaxed allowlist in "
+                    f"{ledger_path}; register the file after review or use "
+                    "release/acquire")
+        for glob, line in self.relaxed_globs:
+            matched = [rel for rel in scanned_rels
+                       if fnmatch.fnmatch(rel, glob)]
+            if matched and not relaxed_files.intersection(matched):
+                self.emit(
+                    "SA004", ledger_path, line,
+                    f"stale relaxed-allowlist glob '{glob}' matches "
+                    f"{len(matched)} scanned file(s) but no "
+                    "memory_order_relaxed site")
         for fn in self.all_fns:
             for ev in fn.events:
                 if ev.kind != "atomic" or ev.order == "relaxed":
@@ -1404,7 +1557,7 @@ class Analyzer:
                         f"non-relaxed atomic op `{ev.receiver} {ev.name}` "
                         f"({ev.order}) in {fn.qual} has no [pairs] ledger "
                         f"entry in {ledger_path}; name its release/acquire "
-                        "partner (or make it relaxed under UL002)")
+                        "partner (or make it relaxed in an allowlisted file)")
                     continue
                 side_ok = any(r.role in (side, "both") or side == "both"
                               for r in rows)
@@ -1435,17 +1588,16 @@ class Analyzer:
                     f"ledger pair '{pair}' is one-sided (roles: "
                     f"{', '.join(sorted(roles))}); a release needs its "
                     "acquire partner and vice versa")
-            if check_stale:
-                for r in relevant:
-                    if not r.used:
-                        self.emit(
-                            "SA004", ledger_path, r.line,
-                            f"stale ledger row: pair '{pair}' var "
-                            f"'{r.var}' glob '{r.glob}' matched no "
-                            "non-relaxed atomic op in the scanned tree")
+            for r in relevant:
+                if not r.used:
+                    self.emit(
+                        "SA004", ledger_path, r.line,
+                        f"stale ledger row: pair '{pair}' var "
+                        f"'{r.var}' glob '{r.glob}' matched no "
+                        "non-relaxed atomic op in the scanned tree")
 
 # ---------------------------------------------------------------------------
-# SA005: wire-schema lockfile
+# SA005: wire structs (adjacent static_assert + schema lockfile)
 # ---------------------------------------------------------------------------
 
 def _round_up(v, a):
@@ -1456,9 +1608,7 @@ class LayoutComputer:
     """Deterministic POD layout for wire structs: fixed-width scalars,
     nested wire structs, enums with an explicit underlying type, and
     numeric-bound arrays, laid out with natural alignment.  This mirrors
-    exactly what the UL003 static_asserts pin, and is intentionally
-    backend-independent so wire_schema.lock is byte-identical no matter
-    which parser produced the rest of the IR."""
+    exactly what the wire structs' static_asserts pin."""
 
     def __init__(self, files):
         self.enum_bases = {}
@@ -1540,7 +1690,7 @@ class LayoutComputer:
         lines = [
             "# umon-sca wire-schema lock v1",
             "# Field names, offsets, and sizes of every",
-            "# `// umon-lint: wire-struct` pinned struct.  Regenerate after",
+            "# `// umon-sca: wire-struct` marked struct.  Regenerate after",
             "# an intentional wire format change with:",
             "#   python3 tools/sca/umon_sca.py --update-lock",
             "# (and bump the format version the struct carries on the wire).",
@@ -1597,9 +1747,25 @@ def render_struct_entry(lay, struct):
     return header, fields
 
 
+WIRE_ASSERT_WINDOW = 12  # lines past the closing brace
+
+
 def run_sa005(analyzer, files, lockfile_path, lockfile_rel, update):
     layouts = LayoutComputer(files)
-    wire_structs = [s for f in files for s in f.structs if s.wire]
+    wire_structs = []
+    for f in files:
+        for s in f.structs:
+            if not s.wire:
+                continue
+            wire_structs.append(s)
+            window = "\n".join(f.code[s.line - 1:s.end + WIRE_ASSERT_WINDOW])
+            if not re.search(r"static_assert\s*\([^;]*\b" +
+                             re.escape(s.name) + r"\b", window):
+                analyzer.emit(
+                    "SA005", s.file, s.line,
+                    f"wire struct {s.qual} has no static_assert pinning its "
+                    "sizeof/copyability within "
+                    f"{WIRE_ASSERT_WINDOW} lines of its closing brace")
     # Cross-check the layout computer against the tree's own sizeof
     # static_asserts: a disagreement means the computer (not the code) is
     # wrong, and must fail loudly rather than bless a bogus lockfile.
@@ -1683,388 +1849,6 @@ def run_sa005(analyzer, files, lockfile_path, lockfile_rel, update):
                 "--update-lock and a format-version bump")
 
 # ---------------------------------------------------------------------------
-# Clang backends: refine function event streams with real AST facts.
-#
-# Both backends layer on top of the internal parse: structs, suppressions,
-# declaration tables, and SA005 stay structural (deterministic everywhere);
-# what the AST upgrades is the per-function event stream -- exact callee
-# targets, real receiver types for atomics, and macro-expanded bodies.
-# ---------------------------------------------------------------------------
-
-class BackendUnavailable(Exception):
-    pass
-
-
-def load_compile_db(path):
-    if not path or not os.path.exists(path):
-        raise BackendUnavailable(
-            f"compile_commands.json not found at {path!r}; configure with "
-            "cmake -DCMAKE_EXPORT_COMPILE_COMMANDS=ON first")
-    with open(path, encoding="utf-8") as fh:
-        db = json.load(fh)
-    tus = []
-    for entry in db:
-        args = entry.get("arguments")
-        if not args:
-            args = entry.get("command", "").split()
-        clean = []
-        skip_next = False
-        for a in args[1:]:
-            if skip_next:
-                skip_next = False
-                continue
-            if a in ("-c", args[0]):
-                continue
-            if a == "-o":
-                skip_next = True
-                continue
-            clean.append(a)
-        tus.append({"file": os.path.normpath(
-            os.path.join(entry.get("directory", "."), entry["file"])),
-            "args": clean, "dir": entry.get("directory", ".")})
-    return tus
-
-
-def _events_match_fn(fns_by_file_line, rel, line):
-    """Find the FunctionIR (from the internal parse) nearest above `line`."""
-    fns = fns_by_file_line.get(rel)
-    if not fns:
-        return None
-    best = None
-    for fn in fns:
-        if fn.line <= line and (best is None or fn.line > best.line):
-            best = fn
-    return best
-
-
-class LibclangBackend:
-    name = "libclang"
-
-    def __init__(self, compile_db_path):
-        try:
-            from clang import cindex  # noqa: PLC0415
-        except ImportError as exc:
-            raise BackendUnavailable(
-                "python clang bindings not importable "
-                f"({exc}); install libclang + python3-clang or use "
-                "--backend internal") from exc
-        self.cindex = cindex
-        try:
-            self.index = cindex.Index.create()
-        except Exception as exc:  # library not found / version skew
-            raise BackendUnavailable(
-                f"libclang shared library unavailable: {exc}") from exc
-        self.tus = load_compile_db(compile_db_path)
-
-    def refine(self, files, repo_root, errors):
-        ci = self.cindex
-        by_rel = {f.rel: f for f in files}
-        fns_by_file = {}
-        for f in files:
-            fns_by_file[f.rel] = sorted(f.functions, key=lambda fn: fn.line)
-        refined = set()
-        for tu_entry in self.tus:
-            try:
-                tu = self.index.parse(tu_entry["file"],
-                                      args=tu_entry["args"])
-            except Exception as exc:
-                errors.append(f"libclang failed on {tu_entry['file']}: "
-                              f"{exc}")
-                continue
-            for cur in tu.cursor.walk_preorder():
-                if cur.kind not in (ci.CursorKind.FUNCTION_DECL,
-                                    ci.CursorKind.CXX_METHOD,
-                                    ci.CursorKind.CONSTRUCTOR,
-                                    ci.CursorKind.DESTRUCTOR):
-                    continue
-                if not cur.is_definition():
-                    continue
-                loc = cur.location
-                if loc.file is None:
-                    continue
-                rel = os.path.relpath(os.path.abspath(loc.file.name),
-                                      repo_root)
-                if rel.startswith("..") or rel not in by_rel:
-                    continue
-                key = (rel, cur.spelling, loc.line)
-                if key in refined:
-                    continue
-                fn = _events_match_fn(fns_by_file, rel, loc.line)
-                if fn is None or fn.name.split("::")[-1] != cur.spelling \
-                        and not cur.spelling.startswith("~"):
-                    continue
-                events = self._function_events(cur, ci)
-                if events is not None:
-                    fn.events = events
-                    refined.add(key)
-        return refined
-
-    def _function_events(self, fn_cursor, ci):
-        events = []
-
-        def tokens_text(c):
-            try:
-                return " ".join(t.spelling for t in c.get_tokens())[:400]
-            except Exception:
-                return ""
-
-        def walk(c, depth):
-            for child in c.get_children():
-                line = child.location.line
-                k = child.kind
-                if k == ci.CursorKind.VAR_DECL:
-                    t = child.type.spelling
-                    if any(g in t for g in GUARD_TYPES):
-                        argtext = tokens_text(child)
-                        m = re.search(r"[({](.*)[)}]", argtext)
-                        mutexes = _split_top_commas(m.group(1)) if m else []
-                        events.append(Event("lock", line, argtext[:80],
-                                            guard=child.spelling,
-                                            mutexes=mutexes, depth=depth))
-                        # close at end of enclosing compound
-                        end = c.extent.end.line
-                        events.append(Event("unlock", end, child.spelling,
-                                            guard=child.spelling,
-                                            mutexes=mutexes, depth=depth))
-                    if "ProfScope" in t:
-                        m = re.search(r"\b(k\w+)\b", tokens_text(child))
-                        if m:
-                            events.append(Event("prof", line, m.group(1)))
-                elif k == ci.CursorKind.CXX_NEW_EXPR:
-                    events.append(Event("alloc", line, "new"))
-                elif k in (ci.CursorKind.CALL_EXPR,):
-                    name = child.spelling or ""
-                    base = name.split("::")[-1] if name else ""
-                    recv = ""
-                    recv_type = ""
-                    kids = list(child.get_children())
-                    if kids:
-                        recv_type = kids[0].type.spelling or ""
-                        recv = kids[0].spelling or ""
-                        recv = recv.split(".")[-1].split("->")[-1]
-                    ref = child.referenced
-                    full = name
-                    if ref is not None and ref.semantic_parent is not None:
-                        parent = ref.semantic_parent
-                        if parent.kind in (ci.CursorKind.CLASS_DECL,
-                                           ci.CursorKind.STRUCT_DECL):
-                            full = f"{parent.spelling}::{base}"
-                    if base:
-                        args = tokens_text(child)
-                        events.append(Event("call", line, full,
-                                            receiver=recv, args=args))
-                        if base in GROWTH_METHODS or base in ALLOC_CALLS:
-                            events.append(Event("alloc", line, base,
-                                                receiver=recv))
-                        if base in ATOMIC_METHODS and "atomic" in recv_type:
-                            orders = MEMORDER_RE.findall(args) or \
-                                re.findall(r"memory_order\s*::\s*(\w+)",
-                                           args)
-                            order = "seq_cst"
-                            if orders:
-                                nr = [o for o in orders if o != "relaxed"]
-                                order = nr[0] if nr else "relaxed"
-                            events.append(Event("atomic", line, base,
-                                                receiver=recv, order=order))
-                        if base == "unlock":
-                            events.append(Event("unlock", line, recv,
-                                                guard=recv, mutexes=[recv]))
-                walk(child, depth + 1)
-
-        try:
-            walk(fn_cursor, 0)
-        except Exception:
-            return None
-        events.sort(key=lambda e: e.line)
-        return events
-
-
-class ClangJsonBackend:
-    name = "clang-json"
-
-    def __init__(self, compile_db_path, cache_dir=None):
-        self.clang = shutil.which("clang++") or shutil.which("clang")
-        if not self.clang:
-            raise BackendUnavailable(
-                "clang++ not on PATH; use --backend internal")
-        self.tus = load_compile_db(compile_db_path)
-        self.cache_dir = cache_dir
-        if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
-
-    def _dump(self, tu_entry):
-        src = tu_entry["file"]
-        key = None
-        if self.cache_dir:
-            h = hashlib.sha256()
-            with open(src, "rb") as fh:
-                h.update(fh.read())
-            h.update(" ".join(tu_entry["args"]).encode())
-            key = os.path.join(self.cache_dir, h.hexdigest() + ".json")
-            if os.path.exists(key):
-                with open(key, encoding="utf-8") as fh:
-                    return json.load(fh)
-        cmd = [self.clang, "-fsyntax-only", "-Xclang", "-ast-dump=json",
-               *tu_entry["args"], src]
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              cwd=tu_entry["dir"], check=False)
-        if proc.returncode != 0 or not proc.stdout:
-            raise RuntimeError(proc.stderr.strip()[:400] or "no AST output")
-        ast = json.loads(proc.stdout)
-        if key:
-            with open(key, "w", encoding="utf-8") as fh:
-                json.dump(ast, fh)
-        return ast
-
-    def refine(self, files, repo_root, errors):
-        by_rel = {f.rel: f for f in files}
-        fns_by_file = {f.rel: sorted(f.functions, key=lambda fn: fn.line)
-                       for f in files}
-        refined = set()
-        for tu_entry in self.tus:
-            try:
-                ast = self._dump(tu_entry)
-            except Exception as exc:
-                errors.append(f"clang-json failed on {tu_entry['file']}: "
-                              f"{exc}")
-                continue
-            self._walk_tu(ast, repo_root, by_rel, fns_by_file, refined)
-        return refined
-
-    def _walk_tu(self, ast, repo_root, by_rel, fns_by_file, refined):
-        cur_file = [""]
-
-        def loc_of(node):
-            loc = node.get("loc", {})
-            f = loc.get("file") or loc.get("includedFrom", {}).get("file")
-            if f:
-                cur_file[0] = f
-            return cur_file[0], loc.get("line", 0)
-
-        def visit(node):
-            if not isinstance(node, dict):
-                return
-            kind = node.get("kind", "")
-            if kind in ("FunctionDecl", "CXXMethodDecl", "CXXConstructorDecl",
-                        "CXXDestructorDecl") and node.get("inner"):
-                fname, line = loc_of(node)
-                if fname:
-                    rel = os.path.relpath(os.path.abspath(fname), repo_root)
-                    if not rel.startswith("..") and rel in by_rel:
-                        has_body = any(i.get("kind") == "CompoundStmt"
-                                       for i in node.get("inner", []))
-                        if has_body:
-                            key = (rel, node.get("name", ""), line)
-                            if key not in refined:
-                                fn = _events_match_fn(fns_by_file, rel, line)
-                                if fn is not None:
-                                    events = []
-                                    self._events(node, events, line)
-                                    events.sort(key=lambda e: e.line)
-                                    fn.events = events
-                                    refined.add(key)
-            for child in node.get("inner", []) or []:
-                visit(child)
-
-        visit(ast)
-
-    def _events(self, node, events, cur_line):
-        if not isinstance(node, dict):
-            return cur_line
-        line = node.get("loc", {}).get("line") or \
-            node.get("range", {}).get("begin", {}).get("line") or cur_line
-        kind = node.get("kind", "")
-        if kind == "VarDecl":
-            t = node.get("type", {}).get("qualType", "")
-            if any(g in t for g in GUARD_TYPES):
-                events.append(Event("lock", line, t[:80],
-                                    guard=node.get("name", ""),
-                                    mutexes=[node.get("name", "")]))
-            if "ProfScope" in t:
-                events.append(Event("prof", line, "kUnknownStage"))
-        elif kind == "CXXNewExpr":
-            events.append(Event("alloc", line, "new"))
-        elif kind in ("CallExpr", "CXXMemberCallExpr", "CXXOperatorCallExpr"):
-            name = _json_callee_name(node)
-            base = name.split("::")[-1] if name else ""
-            if base and base not in NOT_A_FUNCTION:
-                recv = _json_receiver(node)
-                events.append(Event("call", line, name, receiver=recv))
-                if base in GROWTH_METHODS or base in ALLOC_CALLS:
-                    events.append(Event("alloc", line, base, receiver=recv))
-                if base in ATOMIC_METHODS and \
-                        "atomic" in _json_receiver_type(node):
-                    events.append(Event("atomic", line, base, receiver=recv,
-                                        order=_json_mem_order(node)))
-                if base == "unlock" and recv:
-                    events.append(Event("unlock", line, recv, guard=recv,
-                                        mutexes=[recv]))
-        for child in node.get("inner", []) or []:
-            line = self._events(child, events, line)
-        return line
-
-
-def _json_callee_name(node):
-    inner = node.get("inner", []) or []
-    for sub in inner[:1]:
-        for ref in _iter_nodes(sub):
-            if ref.get("kind") in ("DeclRefExpr", "MemberExpr"):
-                d = ref.get("referencedDecl", {})
-                if d.get("name"):
-                    return d["name"]
-                if ref.get("name"):
-                    return ref["name"]
-    return ""
-
-
-def _json_receiver(node):
-    inner = node.get("inner", []) or []
-    for sub in inner[:1]:
-        for ref in _iter_nodes(sub):
-            if ref.get("kind") == "MemberExpr":
-                for base in _iter_nodes(ref):
-                    if base.get("kind") in ("DeclRefExpr", "MemberExpr") \
-                            and base is not ref:
-                        d = base.get("referencedDecl", {})
-                        return d.get("name", "") or base.get("name", "")
-    return ""
-
-
-def _json_receiver_type(node):
-    inner = node.get("inner", []) or []
-    for sub in inner[:1]:
-        for ref in _iter_nodes(sub):
-            if ref.get("kind") == "MemberExpr":
-                for base in _iter_nodes(ref):
-                    if base is not ref:
-                        t = base.get("type", {}).get("qualType", "")
-                        if t:
-                            return t
-    return ""
-
-
-def _json_mem_order(node):
-    for sub in _iter_nodes(node):
-        if sub.get("kind") == "DeclRefExpr":
-            name = sub.get("referencedDecl", {}).get("name", "")
-            m = re.match(r"memory_order_(\w+)", name)
-            if m:
-                return m.group(1)
-            if name in ("relaxed", "acquire", "release", "acq_rel",
-                        "seq_cst", "consume"):
-                return name
-    return "seq_cst"
-
-
-def _iter_nodes(node):
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, dict):
-            yield cur
-            stack.extend(cur.get("inner", []) or [])
-
-# ---------------------------------------------------------------------------
 # Scan driver
 # ---------------------------------------------------------------------------
 
@@ -2091,47 +1875,22 @@ def iter_source_files(roots, repo_root):
                     yield full, rel
 
 
-def pick_backend(requested, compile_db, ast_cache):
-    """Returns (backend_obj_or_None, name).  Raises BackendUnavailable when
-    an explicitly requested clang backend cannot run (caller exits 3)."""
-    if requested == "internal":
-        return None, "internal"
-    if requested in ("libclang", "auto"):
-        try:
-            return LibclangBackend(compile_db), "libclang"
-        except BackendUnavailable:
-            if requested == "libclang":
-                raise
-    if requested in ("clang-json", "auto"):
-        try:
-            return ClangJsonBackend(compile_db, ast_cache), "clang-json"
-        except BackendUnavailable:
-            if requested == "clang-json":
-                raise
-    return None, "internal"
-
-
-def run_scan(roots, repo_root, *, rules, backend, compile_db, ast_cache,
-             ledger_path, lockfile_path, prof_table_path, hot_period,
-             update_lock=False):
-    """Full pipeline.  Returns (findings, suppressed, backend_name,
-    backend_errors)."""
-    backend_obj, backend_name = pick_backend(backend, compile_db, ast_cache)
+def run_scan(sources, repo_root, *, rules, ledger_path, lockfile_path,
+             prof_table_path, update_lock=False):
+    """Full pipeline over (full path, repo-relative path) pairs.  Returns
+    (findings, suppressed)."""
     files = []
-    parser = InternalBackend()
-    for full, rel in iter_source_files(roots, repo_root):
+    parser = Parser()
+    for full, rel in sources:
         try:
             with open(full, encoding="utf-8", errors="replace") as fh:
                 raw = fh.read()
         except OSError as exc:
             raise SystemExit(f"{TOOL}: cannot read {full}: {exc}")
         files.append(parser.parse(rel, raw))
-    backend_errors = []
-    if backend_obj is not None:
-        backend_obj.refine(files, repo_root, backend_errors)
-    ledger_rows, ledger_errors = load_ledger(ledger_path)
+    relaxed_globs, ledger_rows, ledger_errors = load_ledger(ledger_path)
     prof_table = load_prof_table(prof_table_path)
-    analyzer = Analyzer(files, rules, ledger_rows, prof_table, hot_period)
+    analyzer = Analyzer(files, relaxed_globs, ledger_rows, prof_table)
     ledger_rel = os.path.relpath(ledger_path, repo_root) \
         if os.path.isabs(ledger_path) else ledger_path
     lock_rel = os.path.relpath(lockfile_path, repo_root) \
@@ -2139,11 +1898,10 @@ def run_scan(roots, repo_root, *, rules, backend, compile_db, ast_cache,
     for f in files:
         for line, msg in f.malformed:
             analyzer.emit(META_RULE, f.rel, line, msg)
+        for rule, line, msg in line_findings(f, rules):
+            analyzer.emit(rule, f.rel, line, msg)
     for line, msg in ledger_errors:
         analyzer.emit(META_RULE, ledger_rel, line, msg)
-    for err in backend_errors:
-        analyzer.emit(META_RULE, "<backend>", 0, err)
-    scanned_rels = {f.rel for f in files}
     if "SA001" in rules:
         analyzer.run_sa001()
     if "SA002" in rules:
@@ -2151,50 +1909,56 @@ def run_scan(roots, repo_root, *, rules, backend, compile_db, ast_cache,
     if "SA003" in rules:
         analyzer.run_sa003()
     if "SA004" in rules:
-        analyzer.run_sa004(ledger_rel, scanned_rels, check_stale=True)
+        analyzer.run_sa004(ledger_rel)
     if "SA005" in rules or update_lock:
         abs_lock = lockfile_path if os.path.isabs(lockfile_path) \
             else os.path.join(repo_root, lockfile_path)
         run_sa005(analyzer, files, abs_lock, lock_rel, update_lock)
     analyzer.findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    return analyzer.findings, analyzer.suppressed, backend_name, \
-        backend_errors
+    return analyzer.findings, analyzer.suppressed
 
 
 # ---------------------------------------------------------------------------
 # Self-test
 # ---------------------------------------------------------------------------
 
-def _scan_fixture(paths, fixtures_dir, repo_root, rules=None):
-    findings, _, _, _ = run_scan(
-        paths, repo_root,
-        rules=rules or set(RULES),
-        backend="internal", compile_db=None, ast_cache=None,
-        ledger_path=os.path.join(fixtures_dir, "atomics_ledger.txt"),
+FIXTURE_PATH_RE = re.compile(r"umon-sca-fixture:\s*path=(\S+)")
+
+
+def _scan_fixture(path, fixtures_dir, repo_root):
+    """Scan one fixture, under the repo path its `umon-sca-fixture: path=`
+    directive names (path-sensitive rules), else under its own path."""
+    with open(path, encoding="utf-8") as fh:
+        pm = FIXTURE_PATH_RE.search(fh.read(2048))
+    rel = pm.group(1) if pm else os.path.relpath(path, repo_root)
+    findings, _ = run_scan(
+        [(path, rel)], repo_root,
+        rules=set(RULES),
+        ledger_path=os.path.join(fixtures_dir, "atomics_policy.txt"),
         lockfile_path=os.path.join(fixtures_dir, "wire_schema.lock"),
-        prof_table_path=os.path.join(fixtures_dir, "prof_stub.hpp"),
-        hot_period=DEFAULT_HOT_PERIOD)
+        prof_table_path=os.path.join(fixtures_dir, "prof_stub.hpp"))
     return findings
 
 
-def run_self_test(fixtures_dir, repo_root):
+def run_self_test(fixtures_dir, repo_root, rules=None):
     import glob as globmod
     import tempfile
     failures = []
+    rules = set(RULES) if rules is None else rules
 
     def check(cond, what):
         if not cond:
             failures.append(what)
 
     # 1. Golden fixtures: each fail fixture trips exactly its own rule;
-    #    each pass fixture is clean.
-    for rule in sorted(RULES):
+    #    each pass fixture is clean. A rule subset checks only its own.
+    for rule in sorted(rules):
         for kind in ("pass", "fail"):
             pattern = os.path.join(fixtures_dir, f"{rule}_{kind}_*.cpp")
             matches = sorted(globmod.glob(pattern))
             check(matches, f"missing fixture {rule}_{kind}_*.cpp")
             for fixture in matches:
-                findings = _scan_fixture([fixture], fixtures_dir, repo_root)
+                findings = _scan_fixture(fixture, fixtures_dir, repo_root)
                 hit = {f.rule for f in findings}
                 name = os.path.basename(fixture)
                 if kind == "pass":
@@ -2208,96 +1972,10 @@ def run_self_test(fixtures_dir, repo_root):
                           "; ".join(f.render() for f in findings))
 
     with tempfile.TemporaryDirectory(prefix="umon_sca_selftest") as tmp:
-        # 2. A suppression without a justification is itself a finding and
-        #    does not suppress.
-        bad = os.path.join(tmp, "bad_suppress.cpp")
-        with open(bad, "w", encoding="utf-8") as fh:
-            fh.write(
-                "#include <mutex>\n"
-                "struct S {\n"
-                "  std::mutex m_;\n"
-                "  void f() {\n"
-                "    std::lock_guard<std::mutex> lock(m_);\n"
-                "    // umon-sca: allow(SA002)\n"
-                "    fsync(3);\n"
-                "  }\n"
-                "};\n")
-        findings = _scan_fixture([bad], fixtures_dir, repo_root)
-        hit = {f.rule for f in findings}
-        check(hit == {META_RULE, "SA002"},
-              f"justification-less suppression: expected SA000+SA002, got "
-              f"{sorted(hit)}")
-
-        # 3. A justified suppression silences the finding.
-        good = os.path.join(tmp, "good_suppress.cpp")
-        with open(good, "w", encoding="utf-8") as fh:
-            fh.write(
-                "#include <mutex>\n"
-                "struct S {\n"
-                "  std::mutex m_;\n"
-                "  void f() {\n"
-                "    std::lock_guard<std::mutex> lock(m_);\n"
-                "    // umon-sca: allow(SA002) cold path, bounded write\n"
-                "    fsync(3);\n"
-                "  }\n"
-                "};\n")
-        findings = _scan_fixture([good], fixtures_dir, repo_root)
-        check(not findings,
-              "justified suppression should silence SA002, got " +
-              "; ".join(f.render() for f in findings))
-
-        # 4. unique_lock .unlock() releases: no SA002 after the unlock.
-        unl = os.path.join(tmp, "unlock_model.cpp")
-        with open(unl, "w", encoding="utf-8") as fh:
-            fh.write(
-                "#include <mutex>\n"
-                "struct S {\n"
-                "  std::mutex m_;\n"
-                "  void f() {\n"
-                "    std::unique_lock<std::mutex> el(m_);\n"
-                "    int x = 1;\n"
-                "    el.unlock();\n"
-                "    fsync(x);\n"
-                "  }\n"
-                "};\n")
-        findings = _scan_fixture([unl], fixtures_dir, repo_root)
-        check(not findings,
-              "unique_lock::unlock() model: expected clean, got " +
-              "; ".join(f.render() for f in findings))
-
-        # 5. Layout computer agrees with the compiler on the tree's own
-        #    canonical wire structs (sizes pinned by static_asserts).
-        layout_src = os.path.join(tmp, "layout.hpp")
-        with open(layout_src, "w", encoding="utf-8") as fh:
-            fh.write(
-                "#include <cstdint>\n"
-                "// umon-lint: wire-struct\n"
-                "struct Inner {\n"
-                "  std::uint32_t a = 0;\n"
-                "  std::uint16_t b = 0;\n"
-                "  std::uint8_t c = 0;\n"
-                "};\n"
-                "// umon-lint: wire-struct\n"
-                "struct Outer {\n"
-                "  Inner inner;\n"
-                "  std::int64_t t = 0;\n"
-                "  std::uint8_t k = 0;\n"
-                "};\n")
-        parser = InternalBackend()
-        fir = parser.parse("layout.hpp",
-                           open(layout_src, encoding="utf-8").read())
-        comp = LayoutComputer([fir])
-        by_name = {s.name: s for s in fir.structs}
-        inner = comp.layout(by_name["Inner"])
-        outer = comp.layout(by_name["Outer"])
-        check(inner["fixed"] and inner["size"] == 8 and inner["align"] == 4,
-              f"Inner layout wrong: {inner}")
-        check(outer["fixed"] and outer["size"] == 24 and
-              outer["align"] == 8,
-              f"Outer layout wrong: {outer}")
-        offs = [(f[0], f[2]) for f in outer["fields"]]
-        check(offs == [("inner", 0), ("t", 8), ("k", 16)],
-              f"Outer offsets wrong: {offs}")
+        if "SA002" in rules:
+            _self_test_lock_models(tmp, fixtures_dir, repo_root, check)
+        if "SA005" in rules:
+            _self_test_layout(tmp, check)
 
     if failures:
         sys.stderr.write(f"{TOOL} self-test: {len(failures)} failure(s)\n")
@@ -2308,6 +1986,101 @@ def run_self_test(fixtures_dir, repo_root):
     return 0
 
 
+def _self_test_lock_models(tmp, fixtures_dir, repo_root, check):
+    # 2. A suppression without a justification is itself a finding and
+    #    does not suppress.
+    bad = os.path.join(tmp, "bad_suppress.cpp")
+    with open(bad, "w", encoding="utf-8") as fh:
+        fh.write(
+            "#include <mutex>\n"
+            "struct S {\n"
+            "  std::mutex m_;\n"
+            "  void f() {\n"
+            "    std::lock_guard<std::mutex> lock(m_);\n"
+            "    // umon-sca: allow(SA002)\n"
+            "    fsync(3);\n"
+            "  }\n"
+            "};\n")
+    findings = _scan_fixture(bad, fixtures_dir, repo_root)
+    hit = {f.rule for f in findings}
+    check(hit == {META_RULE, "SA002"},
+          f"justification-less suppression: expected SA000+SA002, got "
+          f"{sorted(hit)}")
+
+    # 3. A justified suppression silences the finding.
+    good = os.path.join(tmp, "good_suppress.cpp")
+    with open(good, "w", encoding="utf-8") as fh:
+        fh.write(
+            "#include <mutex>\n"
+            "struct S {\n"
+            "  std::mutex m_;\n"
+            "  void f() {\n"
+            "    std::lock_guard<std::mutex> lock(m_);\n"
+            "    // umon-sca: allow(SA002) cold path, bounded write\n"
+            "    fsync(3);\n"
+            "  }\n"
+            "};\n")
+    findings = _scan_fixture(good, fixtures_dir, repo_root)
+    check(not findings,
+          "justified suppression should silence SA002, got " +
+          "; ".join(f.render() for f in findings))
+
+    # 4. unique_lock .unlock() releases: no SA002 after the unlock.
+    unl = os.path.join(tmp, "unlock_model.cpp")
+    with open(unl, "w", encoding="utf-8") as fh:
+        fh.write(
+            "#include <mutex>\n"
+            "struct S {\n"
+            "  std::mutex m_;\n"
+            "  void f() {\n"
+            "    std::unique_lock<std::mutex> el(m_);\n"
+            "    int x = 1;\n"
+            "    el.unlock();\n"
+            "    fsync(x);\n"
+            "  }\n"
+            "};\n")
+    findings = _scan_fixture(unl, fixtures_dir, repo_root)
+    check(not findings,
+          "unique_lock::unlock() model: expected clean, got " +
+          "; ".join(f.render() for f in findings))
+
+
+def _self_test_layout(tmp, check):
+    # 5. Layout computer agrees with the compiler on the tree's own
+    #    canonical wire structs (sizes pinned by static_asserts).
+    layout_src = os.path.join(tmp, "layout.hpp")
+    with open(layout_src, "w", encoding="utf-8") as fh:
+        fh.write(
+            "#include <cstdint>\n"
+            "// umon-sca: wire-struct\n"
+            "struct Inner {\n"
+            "  std::uint32_t a = 0;\n"
+            "  std::uint16_t b = 0;\n"
+            "  std::uint8_t c = 0;\n"
+            "};\n"
+            "// umon-sca: wire-struct\n"
+            "struct Outer {\n"
+            "  Inner inner;\n"
+            "  std::int64_t t = 0;\n"
+            "  std::uint8_t k = 0;\n"
+            "};\n")
+    parser = Parser()
+    fir = parser.parse("layout.hpp",
+                       open(layout_src, encoding="utf-8").read())
+    comp = LayoutComputer([fir])
+    by_name = {s.name: s for s in fir.structs}
+    inner = comp.layout(by_name["Inner"])
+    outer = comp.layout(by_name["Outer"])
+    check(inner["fixed"] and inner["size"] == 8 and inner["align"] == 4,
+          f"Inner layout wrong: {inner}")
+    check(outer["fixed"] and outer["size"] == 24 and
+          outer["align"] == 8,
+          f"Outer layout wrong: {outer}")
+    offs = [(f[0], f[2]) for f in outer["fields"]]
+    check(offs == [("inner", 0), ("t", 8), ("k", 16)],
+          f"Outer offsets wrong: {offs}")
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -2315,8 +2088,8 @@ def run_self_test(fixtures_dir, repo_root):
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog=TOOL,
-        description="Semantic static analysis for the uMon tree "
-                    "(SA001-SA005); see the module docstring for the rules.")
+        description="Static analysis for the uMon tree (SA001-SA010); see "
+                    "the module docstring for the rules.")
     parser.add_argument("paths", nargs="*",
                         help="files or directories to scan (default: "
                              + " ".join(DEFAULT_ROOTS) + ")")
@@ -2324,30 +2097,16 @@ def main(argv=None):
                         help="emit findings as JSON")
     parser.add_argument("--rules", default=",".join(sorted(RULES)),
                         help="comma-separated rule subset")
-    parser.add_argument("--backend", default="auto",
-                        choices=["auto", "internal", "libclang",
-                                 "clang-json"],
-                        help="AST backend (auto: libclang > clang-json > "
-                             "internal)")
-    parser.add_argument("--compile-db", default=None,
-                        help="path to compile_commands.json (default: "
-                             "<repo>/build/compile_commands.json)")
-    parser.add_argument("--ast-cache", default=None,
-                        help="directory for clang-json AST IR cache, keyed "
-                             "on source hashes")
     parser.add_argument("--lock", default=None,
                         help=f"wire-schema lockfile (default {DEFAULT_LOCKFILE})")
     parser.add_argument("--update-lock", action="store_true",
                         help="regenerate the wire-schema lockfile and exit")
     parser.add_argument("--ledger", default=None,
-                        help="atomics policy file with the [pairs] ledger "
-                             f"(default {DEFAULT_LEDGER})")
+                        help="atomics policy: relaxed allowlist + [pairs] "
+                             f"ledger (default {DEFAULT_LEDGER})")
     parser.add_argument("--prof-table", default=None,
                         help="header with ProfStage/kProfPeriod (default "
                              f"{DEFAULT_PROF_TABLE})")
-    parser.add_argument("--hot-period", type=int, default=DEFAULT_HOT_PERIOD,
-                        help="min sampling period for a stage to count as "
-                             f"per-packet hot (default {DEFAULT_HOT_PERIOD})")
     parser.add_argument("--repo-root", default=None)
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("--self-test", action="store_true")
@@ -2362,38 +2121,25 @@ def main(argv=None):
 
     repo_root = os.path.abspath(args.repo_root or REPO_ROOT)
 
-    if args.self_test:
-        fixtures = args.fixtures or os.path.join(
-            os.path.dirname(os.path.abspath(__file__)), "fixtures")
-        return run_self_test(fixtures, repo_root)
-
     rules = {r.strip() for r in args.rules.split(",") if r.strip()}
     unknown = rules - set(RULES)
     if unknown:
         sys.stderr.write(f"{TOOL}: unknown rules: {sorted(unknown)}\n")
         return 2
 
-    roots = args.paths or DEFAULT_ROOTS
-    compile_db = args.compile_db or os.path.join(repo_root, "build",
-                                                 "compile_commands.json")
-    try:
-        findings, suppressed, backend_name, backend_errors = run_scan(
-            roots, repo_root,
-            rules=rules,
-            backend=args.backend,
-            compile_db=compile_db,
-            ast_cache=args.ast_cache,
-            ledger_path=args.ledger or os.path.join(repo_root,
-                                                    DEFAULT_LEDGER),
-            lockfile_path=args.lock or os.path.join(repo_root,
-                                                    DEFAULT_LOCKFILE),
-            prof_table_path=args.prof_table or os.path.join(
-                repo_root, DEFAULT_PROF_TABLE),
-            hot_period=args.hot_period,
-            update_lock=args.update_lock)
-    except BackendUnavailable as exc:
-        sys.stderr.write(f"{TOOL}: SKIP: {exc}\n")
-        return 3
+    if args.self_test:
+        fixtures = args.fixtures or os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), "fixtures")
+        return run_self_test(fixtures, repo_root, rules)
+
+    findings, suppressed = run_scan(
+        iter_source_files(args.paths or DEFAULT_ROOTS, repo_root), repo_root,
+        rules=rules,
+        ledger_path=args.ledger or os.path.join(repo_root, DEFAULT_LEDGER),
+        lockfile_path=args.lock or os.path.join(repo_root, DEFAULT_LOCKFILE),
+        prof_table_path=args.prof_table or os.path.join(
+            repo_root, DEFAULT_PROF_TABLE),
+        update_lock=args.update_lock)
 
     if args.update_lock:
         lock = args.lock or os.path.join(repo_root, DEFAULT_LOCKFILE)
@@ -2404,16 +2150,13 @@ def main(argv=None):
         print(json.dumps({
             "tool": TOOL,
             "schema_version": SCHEMA_VERSION,
-            "backend": backend_name,
             "findings": [f.as_dict() for f in findings],
             "suppressed": suppressed,
         }, indent=2))
     else:
         for f in findings:
             print(f.render())
-        tail = f"{TOOL}: {len(findings)} finding(s), {suppressed} " \
-               f"suppressed, backend={backend_name}"
-        print(tail)
+        print(f"{TOOL}: {len(findings)} finding(s), {suppressed} suppressed")
     return 1 if findings else 0
 
 
