@@ -14,8 +14,9 @@
 //            the raw disk bytes (the background scrubber's whole-store
 //            pass) → latency and raw scan MB/s
 //   tiering  age every segment through tier 1 and tier 2 compaction →
-//            output/input byte ratio and mean reconstruction NMSE against
-//            the in-RAM reference curves
+//            compaction wall time and input MB/s, output/input byte ratio,
+//            and mean reconstruction NMSE against the in-RAM reference
+//            curves
 //
 // Results are persisted as BENCH_store.json (bench/support/snapshot.hpp) so
 // the perf trajectory is checked in per PR. With --min-append-mbs or
@@ -193,6 +194,7 @@ int main(int argc, char** argv) {
 
   // --- phase 3: tiering -----------------------------------------------------
   store::StoreStats tier_stats;
+  double tier_us = 0;
   double hop1_ratio = 0, hop2_ratio = 0;
   double nmse_sum = 0;
   int nmse_flows = 0;
@@ -202,9 +204,13 @@ int main(int argc, char** argv) {
     tcfg.tier2_age_epochs = 2;
     auto st = store::Store::open(tcfg);
     if (!st) { std::fprintf(stderr, "tier reopen failed\n"); return 1; }
+    double t0 = now_us();
     st->maintain();  // hop 0 -> 1
+    tier_us = now_us() - t0;
     const store::StoreStats hop1 = st->stats();
+    t0 = now_us();
     st->maintain();  // hop 1 -> 2
+    tier_us += now_us() - t0;
     tier_stats = st->stats();
     hop1_ratio = hop1.compaction_input_bytes > 0
                      ? static_cast<double>(hop1.compaction_output_bytes) /
@@ -247,6 +253,11 @@ int main(int argc, char** argv) {
           ? static_cast<double>(tier_stats.compaction_output_bytes) /
                 static_cast<double>(tier_stats.compaction_input_bytes)
           : 0.0;
+  const double tier_in_mbs =
+      tier_us > 0
+          ? (static_cast<double>(tier_stats.compaction_input_bytes) / 1e6) /
+                (tier_us / 1e6)
+          : 0.0;
 
   std::printf("bench_store_io (%d flows x %d epochs)\n", flows, epochs);
   std::printf("  append:      %.2f MB in %.1f ms -> %.1f MB/s (%llu records, "
@@ -267,6 +278,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   tier_stats.compaction_output_bytes),
               tier_ratio, nmse, nmse_flows);
+  std::printf("  compaction:  %.1f us over both hops (%.1f MB/s input)\n",
+              tier_us, tier_in_mbs);
   std::printf("  tier hops:   0->1 payload ratio %.3f (budget 1/2), "
               "1->2 %.3f (budget 1/4 cumulative)\n",
               hop1_ratio, hop2_ratio);
@@ -291,6 +304,8 @@ int main(int argc, char** argv) {
   snap.set("scrub_us", scrub_us);
   snap.set("scrub_mbs", scrub_mbs);
   snap.set("scrub_records", static_cast<std::uint64_t>(scrub_records));
+  snap.set("tier_us", tier_us);
+  snap.set("tier_in_mbs", tier_in_mbs);
   snap.set("tier_compaction_ratio", tier_ratio);
   snap.set("tier1_byte_ratio", hop1_ratio);
   snap.set("tier2_byte_ratio", hop2_ratio);

@@ -1,12 +1,16 @@
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41, reflected 0x82F63B78) — the
 // checksum the reliable uplink stamps on every frame so corrupted payloads
-// are rejected at the collector instead of decoded into garbage curves.
+// are rejected at the collector instead of decoded into garbage curves, and
+// the store stamps on every segment record.
 //
-// Software slice-by-1 table implementation: the uplink path checksums a few
-// KB per measurement epoch, far below where slice-by-8 or SSE4.2 would
-// matter, and a single table keeps the header freestanding (no SIMD
-// dispatch, no build flags). The table is built constexpr so there is no
-// runtime init order to reason about.
+// Software slice-by-8: the store checksums every record it appends and
+// re-verifies every record of each segment it compacts or scrubs, which is
+// megabytes per epoch on a busy collector, so a dependent table lookup per
+// byte is not negligible. Eight 256-entry tables fold eight bytes per step.
+// The tables are built constexpr (no runtime init order to reason about)
+// and the header stays freestanding: no SIMD dispatch, no build flags, and
+// input bytes are assembled explicitly, so the result does not depend on
+// host endianness or alignment.
 #pragma once
 
 #include <array>
@@ -17,20 +21,37 @@ namespace umon::resilience {
 
 namespace detail {
 
-constexpr std::array<std::uint32_t, 256> make_crc32c_table() {
-  std::array<std::uint32_t, 256> table{};
+using Crc32cTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// tables[0] is the classic byte-at-a-time table; tables[k][b] advances the
+/// CRC of byte `b` followed by k zero bytes.
+constexpr Crc32cTables make_crc32c_tables() {
+  Crc32cTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
     }
-    table[i] = crc;
+    t[0][i] = crc;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = t[k - 1][i];
+      t[k][i] = (prev >> 8) ^ t[0][prev & 0xFFu];
+    }
+  }
+  return t;
 }
 
-inline constexpr std::array<std::uint32_t, 256> kCrc32cTable =
-    make_crc32c_table();
+inline constexpr Crc32cTables kCrc32cTables = make_crc32c_tables();
+
+/// Little-endian 32-bit load from bytes.
+constexpr std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 }  // namespace detail
 
@@ -40,8 +61,17 @@ inline constexpr std::array<std::uint32_t, 256> kCrc32cTable =
 [[nodiscard]] constexpr std::uint32_t crc32c_update(std::uint32_t crc,
                                                     const std::uint8_t* data,
                                                     std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = detail::kCrc32cTable[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  const auto& t = detail::kCrc32cTables;
+  std::size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    const std::uint32_t lo = crc ^ detail::load_le32(data + i);
+    const std::uint32_t hi = detail::load_le32(data + i + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; i < len; ++i) {
+    crc = t[0][(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
   }
   return crc;
 }

@@ -42,6 +42,32 @@ std::vector<ConfidenceRun> runs_from_marks(
   return runs;
 }
 
+/// Sort one flow's scan-order (window, value) pairs by window and sum the
+/// pairs of each window in place. The sort is stable and every sum starts
+/// from 0.0 and adds in scan order — the same additions as
+/// `std::map<WindowId, double>::operator[] +=`, so every double is
+/// bit-identical to it. Records arrive sorted, so a segment written in
+/// window order skips the sort.
+void merge_windows(std::vector<std::pair<WindowId, double>>& windows) {
+  const auto by_window = [](const std::pair<WindowId, double>& a,
+                            const std::pair<WindowId, double>& b) {
+    return a.first < b.first;
+  };
+  if (!std::is_sorted(windows.begin(), windows.end(), by_window)) {
+    std::stable_sort(windows.begin(), windows.end(), by_window);
+  }
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < windows.size();) {
+    const WindowId w = windows[i].first;
+    double sum = 0.0;
+    for (; i < windows.size() && windows[i].first == w; ++i) {
+      sum += windows[i].second;
+    }
+    windows[out++] = {w, sum};
+  }
+  windows.resize(out);
+}
+
 }  // namespace
 
 struct Store::Instruments {
@@ -595,6 +621,7 @@ std::size_t Store::maintain() {
     if (!seg.reader.has_value()) continue;  // active segment
     if (seg.header.tier >= 2) continue;
     if (shadowed.count(id) > 0) continue;
+    if (seg.compaction_refused) continue;
     const std::uint32_t age =
         epoch_ > seg.max_epoch ? epoch_ - seg.max_epoch : 0;
     const std::uint32_t need = seg.header.tier == 0 ? cfg_.tier1_age_epochs
@@ -626,53 +653,68 @@ bool Store::compact_segment_locked(std::uint32_t segment_id) {
   // flow keeps the output record order deterministic across runs.
   struct FlowAcc {
     FlowKey key;
-    std::map<WindowId, double> windows;        // tier-0 source
-    std::vector<CoeffCurveRecord> coeffs;      // tier-1 source
-    std::uint64_t source_bytes = 0;
+    /// Tier-0 source: every (window, value) pair in scan order, one entry
+    /// per record that wrote the window; merge_windows() sums them.
+    std::vector<std::pair<WindowId, double>> windows;
+    std::vector<CoeffCurveRecord> coeffs;  // tier-1 source
     WindowConfidence worst = WindowConfidence::kCovered;
   };
   std::map<std::uint64_t, FlowAcc> acc;
   std::map<WindowId, WindowConfidence> run_marks;
   bool decode_ok = true;
-  (void)src.reader->scan([&](const RecordHeader& rh, std::uint64_t,
-                             std::span<const std::uint8_t> payload) {
-    switch (static_cast<RecordKind>(rh.kind)) {
-      case RecordKind::kSparseCurve: {
-        const auto rec = decode_sparse(payload);
-        if (!rec.has_value()) { decode_ok = false; return; }
-        FlowAcc& fa = acc[rec->flow.packed()];
-        fa.key = rec->flow;
-        for (const auto& [w, v] : rec->windows) fa.windows[w] += v;
-        fa.source_bytes += rh.payload_len;
-        fa.worst = worse(fa.worst, static_cast<WindowConfidence>(rh.confidence));
-        break;
-      }
-      case RecordKind::kCoeffCurve: {
-        auto rec = decode_coeff(payload);
-        if (!rec.has_value()) { decode_ok = false; return; }
-        FlowAcc& fa = acc[rec->flow.packed()];
-        fa.key = rec->flow;
-        fa.coeffs.push_back(std::move(*rec));
-        fa.source_bytes += rh.payload_len;
-        fa.worst = worse(fa.worst, static_cast<WindowConfidence>(rh.confidence));
-        break;
-      }
-      case RecordKind::kConfidenceRun: {
-        const auto runs = decode_confidence(payload);
-        if (!runs.has_value()) { decode_ok = false; return; }
-        for (const ConfidenceRun& run : *runs) {
-          for (WindowId w = run.from; w < run.to; ++w) {
-            auto [it, inserted] = run_marks.try_emplace(w, run.conf);
-            if (!inserted) it->second = worse(it->second, run.conf);
+  std::size_t delivered = 0;
+  const SegmentReader::ScanResult scan = src.reader->scan(
+      [&](const RecordHeader& rh, std::uint64_t,
+          std::span<const std::uint8_t> payload) {
+        ++delivered;
+        switch (static_cast<RecordKind>(rh.kind)) {
+          case RecordKind::kSparseCurve: {
+            const auto rec = decode_sparse(payload);
+            if (!rec.has_value()) { decode_ok = false; return; }
+            FlowAcc& fa = acc[rec->flow.packed()];
+            fa.key = rec->flow;
+            fa.windows.insert(fa.windows.end(), rec->windows.begin(),
+                              rec->windows.end());
+            fa.worst =
+                worse(fa.worst, static_cast<WindowConfidence>(rh.confidence));
+            break;
           }
+          case RecordKind::kCoeffCurve: {
+            auto rec = decode_coeff(payload);
+            if (!rec.has_value()) { decode_ok = false; return; }
+            FlowAcc& fa = acc[rec->flow.packed()];
+            fa.key = rec->flow;
+            fa.coeffs.push_back(std::move(*rec));
+            fa.worst =
+                worse(fa.worst, static_cast<WindowConfidence>(rh.confidence));
+            break;
+          }
+          case RecordKind::kConfidenceRun: {
+            const auto runs = decode_confidence(payload);
+            if (!runs.has_value()) { decode_ok = false; return; }
+            for (const ConfidenceRun& run : *runs) {
+              for (WindowId w = run.from; w < run.to; ++w) {
+                auto [it, inserted] = run_marks.try_emplace(w, run.conf);
+                if (!inserted) it->second = worse(it->second, run.conf);
+              }
+            }
+            break;
+          }
+          case RecordKind::kEpochSeal:
+            break;
         }
-        break;
-      }
-      case RecordKind::kEpochSeal:
-        break;
-    }
-  });
-  if (!decode_ok) return false;
+      });
+  if (!decode_ok || scan.sealed_end < src.bytes ||
+      delivered < scan.sealed_records) {
+    // A bad frame (rot on disk) stopped the scan short of the sealed bytes.
+    // The records past it would never reach the output, yet the index swap
+    // drops every chunk of the source: those windows would vanish without
+    // a kLost mark. Leave the segment exact and serving; scrub is the path
+    // that quarantines the rot. The verdict cannot change, so later passes
+    // skip the segment instead of rescanning it.
+    src.compaction_refused = true;
+    return false;
+  }
 
   const std::uint32_t new_id = next_segment_id_++;
   SegmentHeader header;
@@ -690,27 +732,38 @@ bool Store::compact_segment_locked(std::uint32_t segment_id) {
 
   const std::uint32_t out_epoch = src.max_epoch;
   std::unordered_map<std::uint64_t, std::vector<ChunkRef>> new_chunks;
+  std::vector<double> dense;
   for (auto& [packed, fa] : acc) {
-    std::vector<std::pair<CoeffCurveRecord, std::uint64_t>> outputs;
+    std::vector<ChunkRef>& fresh = new_chunks[packed];
+    auto emit = [&](const CoeffCurveRecord& rec) {
+      const SegmentWriter::AppendRef at =
+          writer.append_coeff(out_epoch, rec, fa.worst);
+      ChunkRef ref;
+      ref.segment_id = new_id;
+      ref.payload_offset = at.payload_offset;
+      ref.payload_len = at.payload_len;
+      ref.payload_crc = at.payload_crc;
+      ref.kind = RecordKind::kCoeffCurve;
+      ref.confidence = fa.worst;
+      ref.epoch = out_epoch;
+      ref.w0 = rec.w0;
+      ref.w1 = rec.w0 + rec.length - 1;
+      fresh.push_back(ref);
+    };
     if (src.header.tier == 0) {
       // Split the flow's windows into chunks aligned on absolute window
       // boundaries (stable across compactions), densify, transform.
+      merge_windows(fa.windows);
+      const auto& wins = fa.windows;
       const WindowId stride = static_cast<WindowId>(cfg_.max_chunk_windows);
-      auto it = fa.windows.begin();
-      while (it != fa.windows.end()) {
-        const WindowId base = (it->first / stride) * stride;
-        const WindowId end = base + stride;
-        const WindowId first = it->first;
-        WindowId last = first;
-        std::uint64_t chunk_source = sparse_payload_bytes(0);
-        auto chunk_end = it;
-        std::size_t nnz = 0;
-        while (chunk_end != fa.windows.end() && chunk_end->first < end) {
-          last = chunk_end->first;
-          ++nnz;
-          ++chunk_end;
-        }
-        chunk_source = sparse_payload_bytes(nnz);
+      std::size_t i = 0;
+      while (i < wins.size()) {
+        const WindowId base = (wins[i].first / stride) * stride;
+        std::size_t j = i;
+        while (j < wins.size() && wins[j].first < base + stride) ++j;
+        const WindowId first = wins[i].first;
+        const WindowId last = wins[j - 1].first;
+        const std::uint64_t chunk_source = sparse_payload_bytes(j - i);
         // Densify a power-of-two span aligned inside the stride chunk. The
         // forward transform pads to pow2 anyway; if the record's length were
         // shorter, the energy a truncated detail set leaks into the padding
@@ -724,42 +777,26 @@ bool Store::compact_segment_locked(std::uint32_t segment_id) {
           padded *= 2;
           w0 = base + ((first - base) / padded) * padded;
         }
-        std::vector<double> dense(static_cast<std::size_t>(padded), 0.0);
-        for (auto w = it; w != chunk_end; ++w) {
-          dense[static_cast<std::size_t>(w->first - w0)] = w->second;
+        dense.assign(static_cast<std::size_t>(padded), 0.0);
+        for (std::size_t k = i; k < j; ++k) {
+          dense[static_cast<std::size_t>(wins[k].first - w0)] = wins[k].second;
         }
         TierParams params;
         params.budget_coeffs = std::max<std::size_t>(1, cfg_.tier_budget / 2);
         params.max_payload_bytes = static_cast<std::size_t>(chunk_source / 2);
-        outputs.emplace_back(tier_from_dense(fa.key, w0, dense, params),
-                             chunk_source);
-        it = chunk_end;
+        emit(tier_from_dense(fa.key, w0, dense, params));
+        i = j;
       }
     } else {
-      for (CoeffCurveRecord& rec : fa.coeffs) {
+      for (const CoeffCurveRecord& rec : fa.coeffs) {
         TierParams params;
         params.budget_coeffs = std::max<std::size_t>(
             1, cfg_.tier_budget >> (new_tier));
         const std::uint64_t source =
             coeff_payload_bytes(rec.approx.size(), rec.details.size());
         params.max_payload_bytes = static_cast<std::size_t>(source / 2);
-        outputs.emplace_back(truncate_coeffs(rec, params), source);
+        emit(truncate_coeffs(rec, params));
       }
-    }
-    for (const auto& [rec, source] : outputs) {
-      const SegmentWriter::AppendRef at =
-          writer.append_coeff(out_epoch, rec, fa.worst);
-      ChunkRef ref;
-      ref.segment_id = new_id;
-      ref.payload_offset = at.payload_offset;
-      ref.payload_len = at.payload_len;
-      ref.payload_crc = at.payload_crc;
-      ref.kind = RecordKind::kCoeffCurve;
-      ref.confidence = fa.worst;
-      ref.epoch = out_epoch;
-      ref.w0 = rec.w0;
-      ref.w1 = rec.w0 + rec.length - 1;
-      new_chunks[packed].push_back(ref);
     }
   }
   if (!run_marks.empty()) {
@@ -814,19 +851,16 @@ bool Store::compact_segment_locked(std::uint32_t segment_id) {
     sh.chunks = std::move(new_chunks);
     shadows_.push_back(std::move(sh));
   } else {
-    // Swap the index over, then unlink the source.
-    for (auto& [packed, entry] : flows_) {
-      auto& chunks = entry.chunks;
-      chunks.erase(std::remove_if(chunks.begin(), chunks.end(),
-                                  [segment_id](const ChunkRef& c) {
-                                    return c.segment_id == segment_id;
-                                  }),
-                   chunks.end());
-      const auto fresh = new_chunks.find(packed);
-      if (fresh != new_chunks.end()) {
-        chunks.insert(chunks.end(), fresh->second.begin(),
-                      fresh->second.end());
-      }
+    // Swap the index over, then unlink the source. The scan delivered every
+    // sealed record, so only the flows it found can hold source chunks.
+    for (const auto& [packed, fresh] : new_chunks) {
+      const auto fit = flows_.find(packed);
+      if (fit == flows_.end()) continue;
+      auto& chunks = fit->second.chunks;
+      std::erase_if(chunks, [segment_id](const ChunkRef& c) {
+        return c.segment_id == segment_id;
+      });
+      chunks.insert(chunks.end(), fresh.begin(), fresh.end());
     }
     remove_segment_locked(segment_id);
     segments_.emplace(new_id, std::move(out));

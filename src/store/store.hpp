@@ -18,8 +18,9 @@
 // index by scanning every surviving segment.
 //
 // Thread safety: all public members are serialized by an internal mutex, so
-// a background compactor thread (tier.hpp) and a query thread can run
-// against a live writer. The write path itself assumes a single appender.
+// queries can run against a live writer. maintain() compacts on the calling
+// thread and holds the mutex for the whole pass; the store starts no thread
+// of its own. The write path itself assumes a single appender.
 #pragma once
 
 #include <cstdint>
@@ -254,6 +255,9 @@ class Store : public analyzer::CurveSink {
     std::uint64_t bytes = 0;
     std::uint32_t max_epoch = 0;
     std::optional<SegmentReader> reader;  ///< sealed segments only
+    /// The compactor's scan stopped short of `bytes` (rot on disk) or hit an
+    /// undecodable record: maintain() leaves the segment exact for good.
+    bool compaction_refused = false;
   };
 
   /// A compaction output serving as read-repair insurance: its chunks stay

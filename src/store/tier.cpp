@@ -4,30 +4,50 @@
 #include <cmath>
 #include <vector>
 
+#include "wavelet/coeff.hpp"
 #include "wavelet/haar.hpp"
 #include "wavelet/reconstruct.hpp"
-#include "wavelet/store.hpp"
 
 namespace umon::store {
 namespace {
 
-/// Shrink `details` (already sorted by descending L2 weight) until the
-/// record fits `params`, then restore (level, index) order for the wire.
-void clamp_and_sort(std::vector<wavelet::DetailCoeff>& details,
-                    std::size_t approx_count, const TierParams& params) {
-  std::size_t keep = std::min(details.size(), params.budget_coeffs);
+/// A detail coefficient with its L2 weight computed once.
+struct Weighted {
+  double weight;
+  wavelet::DetailCoeff coeff;
+};
+
+/// Keep the top details of `ranked` by L2 weight, as many as `params`
+/// allows, in (level, index) order for the wire. The retained count depends
+/// only on the counts (the byte clamp shrinks it one coefficient at a time),
+/// so the head is selected in O(n) under the total order weight descending,
+/// then level, then index — ties never make the choice ambiguous.
+std::vector<wavelet::DetailCoeff> select_top(std::vector<Weighted>& ranked,
+                                             std::size_t approx_count,
+                                             const TierParams& params) {
+  std::size_t keep = std::min(ranked.size(), params.budget_coeffs);
   if (params.max_payload_bytes > 0) {
     while (keep > 0 &&
            coeff_payload_bytes(approx_count, keep) > params.max_payload_bytes) {
       --keep;
     }
   }
-  details.resize(keep);
-  std::sort(details.begin(), details.end(),
+  const auto heavier = [](const Weighted& a, const Weighted& b) {
+    if (a.weight != b.weight) return a.weight > b.weight;
+    if (a.coeff.level != b.coeff.level) return a.coeff.level < b.coeff.level;
+    return a.coeff.index < b.coeff.index;
+  };
+  const auto head = ranked.begin() + static_cast<std::ptrdiff_t>(keep);
+  std::nth_element(ranked.begin(), head, ranked.end(), heavier);
+  std::vector<wavelet::DetailCoeff> out;
+  out.reserve(keep);
+  for (auto it = ranked.begin(); it != head; ++it) out.push_back(it->coeff);
+  std::sort(out.begin(), out.end(),
             [](const wavelet::DetailCoeff& a, const wavelet::DetailCoeff& b) {
               if (a.level != b.level) return a.level < b.level;
               return a.index < b.index;
             });
+  return out;
 }
 
 }  // namespace
@@ -40,9 +60,10 @@ CoeffCurveRecord tier_from_dense(const FlowKey& flow, WindowId w0,
   rec.w0 = w0;
   rec.length = static_cast<std::uint32_t>(dense.size());
 
+  // Densified chunks are mostly idle windows: skip llround on zeros.
   std::vector<Count> counts(dense.size());
   for (std::size_t i = 0; i < dense.size(); ++i) {
-    counts[i] = static_cast<Count>(std::llround(dense[i]));
+    if (dense[i] != 0.0) counts[i] = static_cast<Count>(std::llround(dense[i]));
   }
 
   const std::uint32_t padded = wavelet::next_pow2(rec.length);
@@ -52,26 +73,19 @@ CoeffCurveRecord tier_from_dense(const FlowKey& flow, WindowId w0,
   rec.levels = d.levels;
   rec.approx = d.approx;
 
-  // Rank every nonzero detail by L2 weight; clamp_and_sort keeps the head.
-  std::vector<wavelet::DetailCoeff> ranked;
+  // Weigh every nonzero detail once; select_top keeps the head.
+  std::vector<Weighted> ranked;
   for (int l = 0; l < d.levels; ++l) {
     const auto& row = d.details[static_cast<std::size_t>(l)];
+    const double norm = wavelet::level_norm(l);  // l2_weight, sqrt hoisted
     for (std::uint32_t j = 0; j < row.size(); ++j) {
       if (row[j] == 0) continue;
-      ranked.push_back(wavelet::DetailCoeff{static_cast<std::uint8_t>(l), j,
-                                            row[j]});
+      ranked.push_back(Weighted{
+          std::abs(static_cast<double>(row[j])) / norm,
+          wavelet::DetailCoeff{static_cast<std::uint8_t>(l), j, row[j]}});
     }
   }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const wavelet::DetailCoeff& a, const wavelet::DetailCoeff& b) {
-              const double wa = wavelet::l2_weight(a);
-              const double wb = wavelet::l2_weight(b);
-              if (wa != wb) return wa > wb;
-              if (a.level != b.level) return a.level < b.level;
-              return a.index < b.index;
-            });
-  clamp_and_sort(ranked, rec.approx.size(), params);
-  rec.details = std::move(ranked);
+  rec.details = select_top(ranked, rec.approx.size(), params);
   return rec;
 }
 
@@ -83,16 +97,12 @@ CoeffCurveRecord truncate_coeffs(const CoeffCurveRecord& in,
   rec.length = in.length;
   rec.levels = in.levels;
   rec.approx = in.approx;
-  rec.details = in.details;
-  std::sort(rec.details.begin(), rec.details.end(),
-            [](const wavelet::DetailCoeff& a, const wavelet::DetailCoeff& b) {
-              const double wa = wavelet::l2_weight(a);
-              const double wb = wavelet::l2_weight(b);
-              if (wa != wb) return wa > wb;
-              if (a.level != b.level) return a.level < b.level;
-              return a.index < b.index;
-            });
-  clamp_and_sort(rec.details, rec.approx.size(), params);
+  std::vector<Weighted> ranked;
+  ranked.reserve(in.details.size());
+  for (const wavelet::DetailCoeff& c : in.details) {
+    ranked.push_back(Weighted{wavelet::l2_weight(c), c});
+  }
+  rec.details = select_top(ranked, rec.approx.size(), params);
   return rec;
 }
 

@@ -28,13 +28,19 @@ static_assert(sizeof(DetailCoeff) == 16,
               "u8 level + u32 index + i64 value, padded to 16 in memory "
               "(the wire spends kDetailWireBytes, not sizeof)");
 
+/// sqrt(2^(level+1)): divides an un-normalized detail coefficient at `level`
+/// into its normalized Haar value. A caller weighing a whole level computes
+/// it once.
+inline double level_norm(int level) {
+  return std::sqrt(static_cast<double>(std::uint64_t{2} << level));
+}
+
 /// L2 contribution of dropping an un-normalized detail coefficient: the
 /// normalized Haar coefficient is value / sqrt(2^(level+1)), and by the
 /// paper's Appendix A the squared reconstruction error of zeroing it equals
 /// the squared normalized coefficient.
 inline double l2_weight(const DetailCoeff& d) {
-  return std::abs(static_cast<double>(d.value)) /
-         std::sqrt(static_cast<double>(std::uint64_t{2} << d.level));
+  return std::abs(static_cast<double>(d.value)) / level_norm(d.level);
 }
 
 /// Serialized size of one retained detail coefficient: 4-byte value plus

@@ -1,6 +1,7 @@
 // umon::ft tests: the injectable file-I/O shim (FaultyIo), the failed-seal
 // regression (a lying fsync must never mark pages clean or commit the
-// seal), scrub/quarantine/read-repair behavior, and the crash-torture
+// seal), scrub/quarantine/read-repair behavior, the compactor's refusal to
+// rewrite a segment whose scan stops at rot, and the crash-torture
 // harness that kills a store workload at sampled I/O points and asserts
 // recovery never serves a wrong byte as covered.
 
@@ -253,9 +254,10 @@ TEST(FtSealFailure, FailedSealRecoversToPreviousDurableSeal) {
 
 // --- scrub / quarantine / read-repair ---------------------------------------
 
-/// Flip one payload byte of the first record of `kind` in the segment at
-/// `path`, bypassing every cache (latent media rot).
-bool flip_payload_byte(const std::string& path, RecordKind kind) {
+/// Flip one payload byte of the `nth` (0-based) record of `kind` in the
+/// segment at `path`, bypassing every cache (latent media rot).
+bool flip_payload_byte(const std::string& path, RecordKind kind,
+                       int nth = 0) {
   const int fd = ::open(path.c_str(), O_RDWR);
   if (fd < 0) return false;
   const off_t size = ::lseek(fd, 0, SEEK_END);
@@ -270,7 +272,8 @@ bool flip_payload_byte(const std::string& path, RecordKind kind) {
                               rh)) {
       break;
     }
-    if (rh.kind == static_cast<std::uint8_t>(kind) && rh.payload_len > 0) {
+    if (rh.kind == static_cast<std::uint8_t>(kind) && rh.payload_len > 0 &&
+        nth-- == 0) {
       std::uint8_t b = 0;
       const off_t off = static_cast<off_t>(pos + kRecordHeaderBytes);
       if (::pread(fd, &b, 1, off) != 1) break;
@@ -435,6 +438,65 @@ TEST(FtScrub, VisitFlowQuarantinesRotItFindsInline) {
   EXPECT_EQ(chunks_served, 0u);
   EXPECT_EQ(store->stats().chunks_quarantined, 1u);
   EXPECT_EQ(store->worst_confidence(40, 41), WindowConfidence::kLost);
+}
+
+TEST(FtScrub, CompactionRefusesSegmentWithRotMidway) {
+  TempDir dir("compact_rot");
+  StoreConfig cfg;
+  cfg.dir = dir.path;
+  cfg.segment_epochs = 2;
+  cfg.tier1_age_epochs = 2;
+  cfg.tier2_age_epochs = 1000;
+  // Zero clean-page budget: the compactor's scan re-reads the rotten page
+  // from disk instead of the good copy the seal left in the cache.
+  cfg.cache_budget_bytes = 0;
+  auto store = Store::open(cfg);
+  ASSERT_NE(store, nullptr);
+  // Segment 1 holds two epochs of three flows each; flow 4's record (the
+  // fifth) is the one that rots.
+  constexpr std::uint32_t kVictim = 4;
+  for (std::uint32_t f = 0; f < 6; ++f) {
+    const std::vector<std::pair<WindowId, double>> w = {
+        {static_cast<WindowId>(10 * f), 100.0 + f},
+        {static_cast<WindowId>(10 * f + 1), 7.0}};
+    store->append_sparse(make_flow(f), w);
+    if (f % 3 == 2) {
+      ASSERT_TRUE(store->seal_epoch());
+    }
+  }
+  ASSERT_TRUE(flip_payload_byte(dir.path + "/seg-00000001-t0.useg",
+                                RecordKind::kSparseCurve, kVictim));
+  // Age segment 1 past tier1_age_epochs.
+  for (int e = 0; e < 3; ++e) {
+    store->append_sparse(make_flow(9), {{{500 + e, 1.0}}});
+    ASSERT_TRUE(store->seal_epoch());
+  }
+
+  // The scan stops at the bad frame, short of the segment's sealed bytes:
+  // compacting would drop every record past it without a kLost mark.
+  store->maintain();
+  EXPECT_GT(real_size(dir.path + "/seg-00000001-t0.useg"), 0)
+      << "the short-scanned source must stay on disk, uncompacted";
+  for (std::uint32_t f = 0; f < 6; ++f) {
+    if (f == kVictim) continue;
+    double volume = 0;
+    store->visit_flow(make_flow(f), 0, 1000, [&](const ChunkView& v) {
+      ASSERT_NE(v.sparse, nullptr) << "flow " << f << " was compacted";
+      for (const auto& [w, val] : v.sparse->windows) volume += val;
+    });
+    EXPECT_EQ(volume, 107.0 + f) << "flow " << f;
+  }
+
+  // The refusal is remembered: a later pass does not re-read the segment.
+  const std::uint64_t misses = store->stats().cache.misses;
+  store->maintain();
+  EXPECT_EQ(store->stats().cache.misses, misses);
+
+  // Scrub remains the path that quarantines the rot.
+  const ScrubReport rep = store->scrub();
+  EXPECT_EQ(rep.chunks_quarantined, 1u);
+  EXPECT_EQ(store->worst_confidence(10 * kVictim, 10 * kVictim + 2),
+            WindowConfidence::kLost);
 }
 
 // --- crash-torture harness --------------------------------------------------

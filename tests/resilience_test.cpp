@@ -8,6 +8,7 @@
 // with total loss <= 20%, a reliable run reconstructs byte-identical curves
 // to a fault-free run, and an unreliable run flags every missing window —
 // lost data is never indistinguishable from an idle wire.
+#include <cstdint>
 #include <cstring>
 #include <initializer_list>
 #include <map>
@@ -22,6 +23,7 @@
 
 #include "analyzer/curve_store.hpp"
 #include "netsim/upload_channel.hpp"
+#include "resilience/crc32c.hpp"
 #include "resilience/fault_plan.hpp"
 #include "resilience/frame.hpp"
 #include "resilience/reliable.hpp"
@@ -33,6 +35,53 @@ std::vector<std::uint8_t> bytes(std::initializer_list<int> vs) {
   std::vector<std::uint8_t> out;
   for (int v : vs) out.push_back(static_cast<std::uint8_t>(v));
   return out;
+}
+
+// --- CRC32C -------------------------------------------------------------------
+
+/// Bit-at-a-time CRC32C over one byte per step: the definition the sliced
+/// tables must reproduce.
+std::uint32_t crc32c_bytewise(const std::uint8_t* data, std::size_t len) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32c, SlicedMatchesBytewiseAtEveryLengthAndAlignment) {
+  std::vector<std::uint8_t> buf(64 + 8);
+  std::uint64_t s = 12345;
+  for (auto& b : buf) {
+    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+    b = static_cast<std::uint8_t>(s >> 56);
+  }
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::uint8_t* p = buf.data() + align;
+      EXPECT_EQ(crc32c(p, len), crc32c_bytewise(p, len))
+          << "len " << len << " align " << align;
+      // Chunked updates agree with the one-shot call at every split.
+      const std::size_t split = len / 3;
+      const std::uint32_t chunked = crc32c_finish(crc32c_update(
+          crc32c_update(crc32c_init(), p, split), p + split, len - split));
+      EXPECT_EQ(chunked, crc32c(p, len)) << "len " << len;
+    }
+  }
+}
+
+TEST(Crc32c, SlicedMatchesBytewiseOnOneMegabyte) {
+  std::vector<std::uint8_t> buf(1u << 20);
+  std::uint64_t s = 20240813;
+  for (auto& b : buf) {
+    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+    b = static_cast<std::uint8_t>(s >> 56);
+  }
+  EXPECT_EQ(crc32c(buf.data(), buf.size()),
+            crc32c_bytewise(buf.data(), buf.size()));
 }
 
 // --- frame format ------------------------------------------------------------

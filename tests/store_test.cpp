@@ -1,16 +1,22 @@
 // umon::store tests: record codecs, segment round-trip and torn-tail
 // recovery, page cache states, the write-through round-trip property
-// against the in-RAM FlowCurveStore, tier byte-ratio/NMSE bounds, query
-// grouping + cache invalidation, and the crash-recovery truncation sweep.
+// against the in-RAM FlowCurveStore, tier byte-ratio/NMSE bounds, the
+// compactor's equivalence to its full-sort/std::map predecessor (selection,
+// segment bytes, confidence runs), query grouping + cache invalidation, and
+// the crash-recovery truncation sweep.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <dirent.h>
 #include <fcntl.h>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 #include <sys/stat.h>
 #include <thread>
@@ -24,6 +30,8 @@
 #include "store/segment.hpp"
 #include "store/store.hpp"
 #include "store/tier.hpp"
+#include "wavelet/coeff.hpp"
+#include "wavelet/haar.hpp"
 #include "wavelet/reconstruct.hpp"
 
 namespace umon::store {
@@ -615,6 +623,309 @@ TEST(StoreTier, EndToEndCompactionKeepsQueryableVolume) {
     for (double v : r.series) have += v;
     EXPECT_NEAR(have, fcs.total_bytes(f),
                 std::max(1.0, fcs.total_bytes(f) * 1e-6));
+  }
+}
+
+// --- selection / compaction equivalence ---------------------------------------
+
+/// The full-sort selection that tier_from_dense / truncate_coeffs used before
+/// the top-K rewrite, kept here as the reference the fast path must match.
+namespace reference {
+
+bool heavier(const wavelet::DetailCoeff& a, const wavelet::DetailCoeff& b) {
+  const double wa = wavelet::l2_weight(a);
+  const double wb = wavelet::l2_weight(b);
+  if (wa != wb) return wa > wb;
+  if (a.level != b.level) return a.level < b.level;
+  return a.index < b.index;
+}
+
+void clamp_and_sort(std::vector<wavelet::DetailCoeff>& details,
+                    std::size_t approx_count, const TierParams& params) {
+  std::size_t keep = std::min(details.size(), params.budget_coeffs);
+  if (params.max_payload_bytes > 0) {
+    while (keep > 0 &&
+           coeff_payload_bytes(approx_count, keep) > params.max_payload_bytes) {
+      --keep;
+    }
+  }
+  details.resize(keep);
+  std::sort(details.begin(), details.end(),
+            [](const wavelet::DetailCoeff& a, const wavelet::DetailCoeff& b) {
+              if (a.level != b.level) return a.level < b.level;
+              return a.index < b.index;
+            });
+}
+
+CoeffCurveRecord tier_from_dense(const FlowKey& flow, WindowId w0,
+                                 std::span<const double> dense,
+                                 const TierParams& params) {
+  CoeffCurveRecord rec;
+  rec.flow = flow;
+  rec.w0 = w0;
+  rec.length = static_cast<std::uint32_t>(dense.size());
+  std::vector<Count> counts(dense.size());
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    counts[i] = static_cast<Count>(std::llround(dense[i]));
+  }
+  const std::uint32_t padded = wavelet::next_pow2(rec.length);
+  const int full_depth =
+      wavelet::effective_levels(padded, 8 * static_cast<int>(sizeof(padded)));
+  const wavelet::Decomposition d = wavelet::haar_forward(counts, full_depth);
+  rec.levels = d.levels;
+  rec.approx = d.approx;
+  std::vector<wavelet::DetailCoeff> ranked;
+  for (int l = 0; l < d.levels; ++l) {
+    const auto& row = d.details[static_cast<std::size_t>(l)];
+    for (std::uint32_t j = 0; j < row.size(); ++j) {
+      if (row[j] == 0) continue;
+      ranked.push_back(wavelet::DetailCoeff{static_cast<std::uint8_t>(l), j,
+                                            row[j]});
+    }
+  }
+  std::sort(ranked.begin(), ranked.end(), heavier);
+  clamp_and_sort(ranked, rec.approx.size(), params);
+  rec.details = std::move(ranked);
+  return rec;
+}
+
+CoeffCurveRecord truncate_coeffs(const CoeffCurveRecord& in,
+                                 const TierParams& params) {
+  CoeffCurveRecord rec = in;
+  std::sort(rec.details.begin(), rec.details.end(), heavier);
+  clamp_and_sort(rec.details, rec.approx.size(), params);
+  return rec;
+}
+
+}  // namespace reference
+
+void expect_same_record(const CoeffCurveRecord& got,
+                        const CoeffCurveRecord& want, const std::string& what) {
+  EXPECT_EQ(got.flow.packed(), want.flow.packed()) << what;
+  EXPECT_EQ(got.w0, want.w0) << what;
+  EXPECT_EQ(got.length, want.length) << what;
+  EXPECT_EQ(got.levels, want.levels) << what;
+  EXPECT_EQ(got.approx, want.approx) << what;
+  EXPECT_EQ(got.details, want.details) << what;
+}
+
+/// Seeded dense chunk of one of five shapes: small integers (dense equal-
+/// weight ties across levels), bursty, all zero, a single nonzero, sparse.
+std::vector<double> random_chunk(Lcg& rng, std::size_t n, int shape) {
+  std::vector<double> v(n, 0.0);
+  switch (shape) {
+    case 0:
+      for (double& x : v) x = static_cast<double>(rng.next() % 3);
+      break;
+    case 1:
+      for (double& x : v) {
+        x = rng.uniform() < 0.1 ? std::floor(rng.uniform() * 40000.0)
+                                : std::floor(rng.uniform() * 50.0);
+      }
+      break;
+    case 2:
+      break;
+    case 3:
+      v[rng.next() % n] = 1.0 + static_cast<double>(rng.next() % 1000);
+      break;
+    default:
+      for (double& x : v) {
+        if (rng.uniform() < 0.05) x = rng.uniform() * 1500.0;
+      }
+      break;
+  }
+  return v;
+}
+
+TEST(StoreTier, SelectionMatchesFullSortReference) {
+  constexpr std::size_t kLengths[] = {1, 2, 3, 7, 64, 100, 256, 1000, 4096};
+  constexpr std::size_t kBudgets[] = {1, 4, 32, 100000};
+  Lcg rng(20240813);
+  const FlowKey flow = make_flow(5);
+  for (int i = 0; i < 240; ++i) {
+    const std::size_t n = kLengths[rng.next() % std::size(kLengths)];
+    const int shape = static_cast<int>(rng.next() % 5);
+    const std::vector<double> dense = random_chunk(rng, n, shape);
+    TierParams p;
+    p.budget_coeffs = kBudgets[rng.next() % std::size(kBudgets)];
+    // Payload clamp: none, binding (somewhere inside the budget), or so
+    // small that nothing fits.
+    switch (rng.next() % 3) {
+      case 0: p.max_payload_bytes = 0; break;
+      case 1: p.max_payload_bytes = coeff_payload_bytes(1, rng.next() % 40); break;
+      default: p.max_payload_bytes = 1; break;
+    }
+    const std::string what = "chunk " + std::to_string(i) + " n=" +
+                             std::to_string(n) + " shape=" +
+                             std::to_string(shape);
+    const CoeffCurveRecord want =
+        reference::tier_from_dense(flow, 4096 * i, dense, p);
+    const CoeffCurveRecord got = tier_from_dense(flow, 4096 * i, dense, p);
+    expect_same_record(got, want, what);
+
+    // Nested truncation of the untruncated record, under a fresh budget.
+    TierParams all;
+    all.budget_coeffs = 100000;
+    const CoeffCurveRecord full = tier_from_dense(flow, 0, dense, all);
+    TierParams p2;
+    p2.budget_coeffs = kBudgets[rng.next() % std::size(kBudgets)];
+    p2.max_payload_bytes =
+        rng.next() % 2 == 0 ? 0 : coeff_payload_bytes(1, rng.next() % 24);
+    expect_same_record(truncate_coeffs(full, p2),
+                       reference::truncate_coeffs(full, p2), what + " nested");
+  }
+
+  // Crafted equal-weight ties across levels: value b * 2^(l/2) at level l
+  // has weight b/sqrt(2) on every even level and b/2 on every odd one, so
+  // only the (level, index) tie-break orders them. Input order is shuffled.
+  for (int i = 0; i < 60; ++i) {
+    CoeffCurveRecord rec;
+    rec.flow = flow;
+    rec.length = 1u << 12;
+    rec.levels = 12;
+    rec.approx = {12345};
+    const std::size_t count = rng.next() % 300;
+    for (std::uint32_t j = 0; j < count; ++j) {
+      const auto level = static_cast<std::uint8_t>(rng.next() % 12);
+      const Count base = 1 + static_cast<Count>(rng.next() % 3);
+      const Count sign = rng.next() % 2 == 0 ? 1 : -1;
+      rec.details.push_back(wavelet::DetailCoeff{
+          level, j, sign * base * (Count{1} << (level / 2))});
+    }
+    for (std::size_t j = rec.details.size(); j > 1; --j) {
+      std::swap(rec.details[j - 1], rec.details[rng.next() % j]);
+    }
+    TierParams p;
+    p.budget_coeffs = kBudgets[rng.next() % std::size(kBudgets)];
+    p.max_payload_bytes =
+        rng.next() % 2 == 0 ? 0 : coeff_payload_bytes(1, rng.next() % 64);
+    expect_same_record(truncate_coeffs(rec, p),
+                       reference::truncate_coeffs(rec, p),
+                       "crafted " + std::to_string(i));
+  }
+}
+
+/// FNV-1a over every file in `dir`: names in sorted order, each followed by
+/// the file's bytes.
+std::uint64_t dir_digest(const std::string& dir) {
+  std::vector<std::string> names;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return 0;
+  while (dirent* e = ::readdir(d)) {
+    const std::string name = e->d_name;
+    if (name != "." && name != "..") names.push_back(name);
+  }
+  ::closedir(d);
+  std::sort(names.begin(), names.end());
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](std::uint8_t b) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  };
+  for (const std::string& name : names) {
+    for (const char c : name) mix(static_cast<std::uint8_t>(c));
+    mix(0);
+    for (const std::uint8_t b : read_file(dir + "/" + name)) mix(b);
+  }
+  return h;
+}
+
+TEST(StoreTier, CompactionBytesUnchanged) {
+  TempDir dir("compact_bytes");
+  StoreConfig cfg;
+  cfg.dir = dir.path;
+  cfg.segment_epochs = 2;
+  cfg.tier1_age_epochs = 2;
+  cfg.tier2_age_epochs = 4;
+  cfg.tier_budget = 16;
+  cfg.max_chunk_windows = 64;  // flows span several aligned chunks
+  auto st = Store::open(cfg);
+  ASSERT_NE(st, nullptr);
+
+  Lcg rng(4242);
+  for (int e = 0; e < 14; ++e) {
+    for (std::uint32_t f = 0; f < 8; ++f) {
+      // 1-3 records per flow and epoch. Later records re-write windows of
+      // earlier ones, reaching back up to 40 windows (write-through deltas),
+      // so a segment's per-flow window stream arrives out of order.
+      const int records = 1 + static_cast<int>(rng.next() % 3);
+      for (int r = 0; r < records; ++r) {
+        const WindowId from = 48 * e + static_cast<WindowId>(rng.next() % 32) +
+                              (r > 0 ? 8 : 48);
+        const WindowId back = r > 0 ? static_cast<WindowId>(rng.next() % 41) : 0;
+        const WindowId start = std::max<WindowId>(0, from - back);
+        std::vector<std::pair<WindowId, double>> windows;
+        for (WindowId w = start; w < start + 24; ++w) {
+          if (rng.uniform() < 0.4) {
+            windows.emplace_back(
+                w, static_cast<double>(rng.next() % 100000) / 7.0);
+          }
+        }
+        if (!windows.empty()) st->append_sparse(make_flow(f), windows);
+      }
+    }
+    // Overlapping marks, within one epoch and across the epochs of one
+    // segment: the compactor keeps each window's worst confidence.
+    if (e == 3) {
+      st->mark_confidence(150, 190, WindowConfidence::kRetransmitted);
+      st->mark_confidence(170, 175, WindowConfidence::kLost);
+      st->mark_confidence(160, 200, WindowConfidence::kGapFilled);
+    }
+    if (e == 4) st->mark_confidence(195, 230, WindowConfidence::kRetransmitted);
+    if (e == 6) st->mark_confidence(300, 310, WindowConfidence::kGapFilled);
+    if (e == 7) st->mark_confidence(305, 306, WindowConfidence::kLost);
+    ASSERT_TRUE(st->seal_epoch());
+    st->maintain();
+  }
+  const StoreStats ss = st->stats();
+  EXPECT_GT(ss.compactions_tier1, 0u);
+  EXPECT_GT(ss.compactions_tier2, 0u);
+  st.reset();
+  // Recorded on the full-sort, std::map-accumulating compactor: the
+  // linear-time rewrite must not move a single byte of any segment.
+  EXPECT_EQ(dir_digest(dir.path), 0x41d8046abc6ad5b9ull);
+}
+
+TEST(StoreTier, CompactionKeepsWorstConfidencePerWindow) {
+  TempDir dir("compact_marks");
+  StoreConfig cfg;
+  cfg.dir = dir.path;
+  cfg.segment_epochs = 3;
+  cfg.tier1_age_epochs = 1;
+  cfg.tier2_age_epochs = 1000;
+  std::map<WindowId, WindowConfidence> want;
+  {
+    auto st = Store::open(cfg);
+    ASSERT_NE(st, nullptr);
+    Lcg rng(77);
+    for (int e = 0; e < 9; ++e) {
+      st->append_sparse(make_flow(1), {{{static_cast<WindowId>(e), 1.0}}});
+      // Random overlapping marks of every confidence, some empty.
+      for (int m = 0; m < 6; ++m) {
+        const auto from = static_cast<WindowId>(rng.next() % 300);
+        const auto to = from + static_cast<WindowId>(rng.next() % 40);
+        const auto conf = static_cast<WindowConfidence>(rng.next() % 4);
+        st->mark_confidence(from, to, conf);
+        if (conf == WindowConfidence::kCovered) continue;
+        for (WindowId w = from; w < to; ++w) {
+          auto [it, inserted] = want.try_emplace(w, conf);
+          if (!inserted && conf > it->second) it->second = conf;
+        }
+      }
+      ASSERT_TRUE(st->seal_epoch());
+      st->maintain();
+    }
+    EXPECT_GT(st->stats().compactions_tier1, 1u);
+  }
+  // Reopen: the marks now come from the compacted segments' coalesced runs
+  // plus the tier-0 segments' raw ones.
+  auto back = Store::open(cfg, nullptr, /*writable=*/false);
+  ASSERT_NE(back, nullptr);
+  for (WindowId w = 0; w < 340; ++w) {
+    const auto it = want.find(w);
+    const WindowConfidence expect =
+        it == want.end() ? WindowConfidence::kCovered : it->second;
+    EXPECT_EQ(back->worst_confidence(w, w + 1), expect) << "window " << w;
   }
 }
 
