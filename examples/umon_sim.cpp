@@ -19,30 +19,31 @@
 //            [--prof-out FILE] [--lineage-out FILE]
 //            [--serve-port N] [--serve-port-file FILE] [--serve-linger S]
 //
-// With --collector-shards (or --report-loss) the host sketches reach the
-// analyzer through the full collection tier — per-host uplink encode, the
-// simulated lossy upload channel, and the sharded collector — instead of
-// being ingested in-process.
+// Every run streams the host sketches to the analyzer one measurement
+// period at a time, while the workload runs. The simulation advances in
+// ticks of --health-interval microseconds (the reporting period; default
+// 500, min 100). Each tick flushes one epoch from every host through the
+// per-host uplink encode, the simulated upload channel (--report-loss drops
+// payloads in transit), the ReliableLink (passthrough unless
+// --uplink-reliable), and the sharded collector (--collector-shards,
+// default 2). An epoch that loses reports to sequence gaps has its analyzer
+// windows flagged lost, so missing data never reads back as idle.
 //
 // --metrics-out writes a Prometheus text snapshot of the pipeline's own
 // telemetry; --trace-out writes Chrome trace_event JSON (open it in
 // chrome://tracing or ui.perfetto.dev). Either flag turns on detailed
-// self-monitoring (latency histograms, spans), implies the collector tier,
-// and appends a self-monitoring summary to the report. --log-level
-// trace|debug|info|warn|error|off controls the structured logger (default
-// warn).
+// self-monitoring (latency histograms, spans) and appends a self-monitoring
+// summary to the report. --log-level trace|debug|info|warn|error|off
+// controls the structured logger (default warn).
 //
-// --health-out FILE turns on continuous health monitoring: the run switches
-// to a chunked simulation loop that flushes one measurement epoch per
-// sampling interval through the collector tier *while the workload runs*,
+// --health-out FILE turns on continuous health monitoring: every tick
 // samples every instrument into umon::health's ring store, tracks
 // end-to-end freshness watermarks (packet event -> sketch seal -> collector
 // decode -> analyzer curve), scores a live reconstruction-fidelity probe,
 // and evaluates alarm rules. FILE gets the umon-health-v1 JSONL dump and
-// FILE.html a self-contained dashboard. --health-interval is the sampling
-// cadence in microseconds (default 500, min 100); --health-alarms overrides
-// the default rule set (';'-separated, see src/health/alarm.hpp). Health
-// output is byte-identical across runs with the same seed as long as the
+// FILE.html a self-contained dashboard. --health-alarms overrides the
+// default rule set (';'-separated, see src/health/alarm.hpp). Health output
+// is byte-identical across runs with the same seed as long as the
 // wall-clock-based detail instrumentation stays off (no --metrics-out /
 // --trace-out).
 //
@@ -57,14 +58,12 @@
 // lost and the affected analyzer windows carry confidence flags;
 // --gap-fill additionally interpolates across lost windows on read.
 // --require-recovered exits non-zero if any epoch went unrecovered (the CI
-// chaos gate). Either flag implies the collector tier and the chunked
-// simulation loop.
+// chaos gate).
 //
 // --disk-fault-plan FILE feeds the same plan format's `disk-*` directives
 // (write failures, short writes, lying fsyncs, seeded media rot, crash
 // points — see src/store/io.hpp) into the segment store's injectable I/O
-// shim; it requires --store-dir and implies the chunked loop so epoch
-// seals interleave with the workload. --scrub-interval N re-verifies every
+// shim; it requires --store-dir. --scrub-interval N re-verifies every
 // sealed segment's record CRCs against the raw disk bytes every N ticks
 // (and once at the end of the run); corrupt records are quarantined, their
 // windows flagged lost, and read-repaired from a coarser tier when a
@@ -88,13 +87,12 @@
 // and store spill to its final confidence verdict; FILE gets the per-epoch
 // audit JSONL (deterministic for a fixed seed) and, combined with
 // --trace-out, the Chrome trace shows each epoch's hops causally linked by
-// flow arrows. --lineage-out implies the collector tier and the chunked
-// loop.
+// flow arrows.
 //
 // --store-dir DIR attaches the durable segment store (umon::store): every
 // curve fragment the analyzer ingests is written through to append-only
-// segment files under DIR, sealed per epoch (fsync barrier), and tiered by
-// the wavelet compactor as it ages. Reopen the directory afterwards with
+// segment files under DIR, sealed once per tick (fsync barrier), and tiered
+// by the wavelet compactor as it ages. Reopen the directory afterwards with
 // umon_query. --store-tier-budget K sets the per-flow-chunk coefficient
 // budget (tier-1 keeps K/2, tier-2 keeps K/4; default 64).
 //
@@ -172,13 +170,13 @@ struct Options {
   bool pfc = false;
   bool dctcp = false;
   std::uint64_t seed = 7;
-  int collector_shards = 0;  ///< 0 = in-process ingest (no collector tier)
+  int collector_shards = 2;
   double report_loss = 0.0;
   std::string metrics_out;   ///< Prometheus text snapshot path ("" = off)
   std::string trace_out;     ///< Chrome trace JSON path ("" = off)
   std::string log_level;     ///< "" = leave logger at its default (warn)
   std::string health_out;    ///< health JSONL path ("" = health off)
-  Nanos health_interval = 500 * kMicro;
+  Nanos health_interval = 500 * kMicro;  ///< tick = reporting period
   std::string health_alarms;  ///< "" = HealthMonitor::default_alarms()
   std::string fault_plan;     ///< chaos schedule path ("" = no injection)
   bool uplink_reliable = false;
@@ -202,21 +200,10 @@ struct Options {
   }
   [[nodiscard]] bool health_requested() const { return !health_out.empty(); }
   [[nodiscard]] bool store_requested() const { return !store_dir.empty(); }
-  [[nodiscard]] bool resilience_requested() const {
-    // A disk-fault plan rides the chunked loop too: per-tick epoch seals
-    // are what give the I/O shim a syscall stream worth faulting.
-    return uplink_reliable || !fault_plan.empty() || !disk_fault_plan.empty();
-  }
   [[nodiscard]] bool scrub_requested() const {
     return scrub_interval > 0 || !disk_fault_plan.empty();
   }
   [[nodiscard]] bool lineage_requested() const { return !lineage_out.empty(); }
-  /// The chunked loop is what lets faults, retransmits, health samples, and
-  /// lineage taps interleave with the workload instead of running after it.
-  [[nodiscard]] bool chunked() const {
-    return health_requested() || resilience_requested() ||
-           lineage_requested();
-  }
 };
 
 bool parse(int argc, char** argv, Options& opt) {
@@ -259,6 +246,10 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
     } else if (arg == "--collector-shards") {
       opt.collector_shards = std::atoi(next("--collector-shards"));
+      if (opt.collector_shards < 1) {
+        std::fprintf(stderr, "--collector-shards must be at least 1\n");
+        return false;
+      }
     } else if (arg == "--report-loss") {
       opt.report_loss = std::atof(next("--report-loss"));
     } else if (arg == "--metrics-out") {
@@ -350,7 +341,10 @@ int main(int argc, char** argv) {
         "                [--scrub-audit FILE]\n"
         "                [--prof-out FILE] [--lineage-out FILE]\n"
         "                [--serve-port N] [--serve-port-file FILE]\n"
-        "                [--serve-linger SECONDS]\n");
+        "                [--serve-linger SECONDS]\n"
+        "--health-interval US is the reporting period: every host uploads one\n"
+        "epoch per tick of US microseconds (default 500, min 100).\n"
+        "--collector-shards N must be at least 1 (default 2).\n");
     return 2;
   }
 
@@ -417,8 +411,8 @@ int main(int argc, char** argv) {
     disk_io = std::make_unique<store::FaultyIo>(*plan);
   }
 
-  // The analyzer and (when requested) the collector tier exist before the
-  // simulation starts: health mode streams epochs through them mid-run.
+  // The analyzer and the collector tier exist before the simulation
+  // starts: every tick streams one epoch through them mid-run.
   analyzer::Analyzer an;
   an.set_gap_fill(opt.gap_fill);
   // Lineage tracker outlives every component it taps (link, collector,
@@ -446,68 +440,56 @@ int main(int argc, char** argv) {
     an.set_curve_sink(curve_store.get());
     if (lineage) curve_store->set_lineage(lineage.get());
   }
-  const bool use_collector = opt.collector_shards > 0 || opt.report_loss > 0 ||
-                             opt.telemetry_requested() ||
-                             opt.health_requested() ||
-                             opt.resilience_requested();
-  // Kept alive past its stop() so its private registry can be exported.
-  std::unique_ptr<collector::Collector> collector_tier;
-  std::unique_ptr<netsim::UploadChannel> channel;
+  collector::CollectorConfig ccfg;
+  ccfg.shards = opt.collector_shards;
+  collector::Collector col(ccfg, an);
+  if (lineage) col.set_lineage(lineage.get());
+
+  netsim::UploadChannelConfig ucfg;
+  ucfg.loss_rate = opt.report_loss;
+  ucfg.jitter = 20 * kMicro;
+  ucfg.seed = opt.seed;
+  netsim::UploadChannel channel(ucfg, nullptr);
   std::unique_ptr<netsim::UploadChannel> reverse;
-  std::unique_ptr<resilience::ReliableLink> link;
-  if (use_collector) {
-    collector::CollectorConfig ccfg;
-    ccfg.shards = opt.collector_shards > 0 ? opt.collector_shards : 2;
-    collector_tier = std::make_unique<collector::Collector>(ccfg, an);
-    if (lineage) collector_tier->set_lineage(lineage.get());
+  if (opt.uplink_reliable) {
+    // Acks ride their own channel instance with the same loss model — a
+    // reliable protocol over a reliable reverse path would be cheating.
+    netsim::UploadChannelConfig rcfg = ucfg;
+    rcfg.seed = opt.seed ^ 0xAC4BAC4ULL;
+    reverse = std::make_unique<netsim::UploadChannel>(rcfg, nullptr);
+  }
+  if (injector) {
+    // One injector serves both directions: single-threaded send order
+    // keeps the shared RNG stream reproducible.
+    auto hook = [inj = injector.get()](
+                    int host, Nanos now,
+                    std::vector<std::uint8_t>& payload) -> netsim::SendFault {
+      const resilience::FaultAction a = inj->on_send(host, now, payload);
+      return netsim::SendFault{a.drop, a.duplicates, a.extra_delay};
+    };
+    channel.set_fault_hook(hook);
+    if (reverse) reverse->set_fault_hook(hook);
+  }
 
-    netsim::UploadChannelConfig ucfg;
-    ucfg.loss_rate = opt.report_loss;
-    ucfg.jitter = 20 * kMicro;
-    ucfg.seed = opt.seed;
-    channel = std::make_unique<netsim::UploadChannel>(ucfg, nullptr);
-    if (opt.uplink_reliable) {
-      // Acks ride their own channel instance with the same loss model — a
-      // reliable protocol over a reliable reverse path would be cheating.
-      netsim::UploadChannelConfig rcfg = ucfg;
-      rcfg.seed = opt.seed ^ 0xAC4BAC4ULL;
-      reverse = std::make_unique<netsim::UploadChannel>(rcfg, nullptr);
-    }
-    if (injector) {
-      // One injector serves both directions: single-threaded send order
-      // keeps the shared RNG stream reproducible.
-      auto hook = [inj = injector.get()](
-                      int host, Nanos now,
-                      std::vector<std::uint8_t>& payload) -> netsim::SendFault {
-        const resilience::FaultAction a = inj->on_send(host, now, payload);
-        return netsim::SendFault{a.drop, a.duplicates, a.extra_delay};
-      };
-      channel->set_fault_hook(hook);
-      if (reverse) reverse->set_fault_hook(hook);
-    }
-
-    // Every payload goes through the ReliableLink — in passthrough mode it
-    // forwards verbatim, so the legacy lossy path is the same bytes.
-    resilience::ReliableConfig rcfg;
-    rcfg.enabled = opt.uplink_reliable;
-    rcfg.retx_buffer_frames = opt.uplink_retx_buffer;
-    link = std::make_unique<resilience::ReliableLink>(rcfg, *channel,
-                                                      reverse.get());
-    if (lineage) link->set_lineage(lineage.get());
-    link->set_deliver_hook(
-        [col = collector_tier.get()](int host, std::uint32_t epoch,
-                                     std::vector<std::uint8_t>&& payload) {
-          // Malformed payloads surface in the end-of-run collector stats.
-          (void)col->submit_report_payload(host, epoch, std::move(payload));
-        });
-    channel->set_sink([l = link.get()](netsim::UploadChannel::Delivery&& d) {
-      l->on_forward_delivery(std::move(d));
+  // Every payload goes through the ReliableLink; in passthrough mode it
+  // forwards verbatim over the lossy channel.
+  resilience::ReliableConfig rcfg;
+  rcfg.enabled = opt.uplink_reliable;
+  rcfg.retx_buffer_frames = opt.uplink_retx_buffer;
+  resilience::ReliableLink link(rcfg, channel, reverse.get());
+  if (lineage) link.set_lineage(lineage.get());
+  link.set_deliver_hook([&col](int host, std::uint32_t epoch,
+                               std::vector<std::uint8_t>&& payload) {
+    // Malformed payloads surface in the end-of-run collector stats.
+    (void)col.submit_report_payload(host, epoch, std::move(payload));
+  });
+  channel.set_sink([&link](netsim::UploadChannel::Delivery&& d) {
+    link.on_forward_delivery(std::move(d));
+  });
+  if (reverse) {
+    reverse->set_sink([&link](netsim::UploadChannel::Delivery&& d) {
+      link.on_reverse_delivery(std::move(d));
     });
-    if (reverse) {
-      reverse->set_sink([l = link.get()](netsim::UploadChannel::Delivery&& d) {
-        l->on_reverse_delivery(std::move(d));
-      });
-    }
   }
 
   std::unique_ptr<health::HealthMonitor> mon;
@@ -522,14 +504,14 @@ int main(int argc, char** argv) {
       return 2;
     }
     mon->add_registry(&telemetry::MetricRegistry::global());
-    mon->add_registry(&collector_tier->telemetry_registry());
-    if (link) mon->add_registry(&link->telemetry_registry());
+    mon->add_registry(&col.telemetry_registry());
+    mon->add_registry(&link.telemetry_registry());
     if (curve_store) mon->add_registry(&curve_store->telemetry_registry());
     mon->set_analyzer(&an);
-    collector_tier->set_decode_event_hook([m = mon.get()](Nanos t) {
+    col.set_decode_event_hook([m = mon.get()](Nanos t) {
       m->watermarks().note(health::Stage::kCollectorDecode, t);
     });
-    collector_tier->set_curve_event_hook([m = mon.get()](Nanos t) {
+    col.set_curve_event_hook([m = mon.get()](Nanos t) {
       m->watermarks().note(health::Stage::kAnalyzerCurve, t);
     });
   }
@@ -545,10 +527,8 @@ int main(int argc, char** argv) {
     http_server = std::make_unique<serve::Server>(scfg);
     serve::Services svc;
     svc.registries.push_back(&telemetry::MetricRegistry::global());
-    if (collector_tier) {
-      svc.registries.push_back(&collector_tier->telemetry_registry());
-    }
-    if (link) svc.registries.push_back(&link->telemetry_registry());
+    svc.registries.push_back(&col.telemetry_registry());
+    svc.registries.push_back(&link.telemetry_registry());
     if (curve_store) {
       svc.registries.push_back(&curve_store->telemetry_registry());
       svc.store = curve_store.get();
@@ -605,8 +585,6 @@ int main(int argc, char** argv) {
   }
   workload::install(w, *net);
 
-  collector::CollectorStats cstats;
-  std::uint64_t payloads_dropped = 0;
   const Nanos horizon = opt.duration + 5 * kMilli;
 
   // Scrub plane: periodic CRC re-verification of the sealed segments
@@ -735,235 +713,181 @@ int main(int argc, char** argv) {
     }
   };
 
-  if (opt.chunked()) {
-    // --- chunked pipeline loop ----------------------------------------------
-    // Chunk the simulation by the sampling interval. Each tick: apply due
-    // shard crash/restarts, run the network, settle its counters, deliver
-    // upload payloads and acks that are due, drive retransmit timers, seal
-    // epochs whose delivery has settled (flagging the windows of epochs the
-    // protocol declared lost), flush a fresh epoch from every non-stalled
-    // host, then drain the collector so every instrument is quiescent
-    // before the health sample is taken.
-    collector::Collector& col = *collector_tier;
-    const Nanos tick_len = opt.health_interval;
-    std::vector<collector::HostUplink> uplinks;
-    uplinks.reserve(static_cast<std::size_t>(net->host_count()));
-    for (int h = 0; h < net->host_count(); ++h) {
-      uplinks.emplace_back(h, /*max_reports_per_payload=*/64);
-    }
-    struct PendingSeal {
-      int host;
-      std::uint32_t epoch;
-      std::uint32_t end_seq;
-      WindowId wfrom;  ///< first window this epoch covers
-      WindowId wto;    ///< exclusive
-      Nanos end_time;  ///< event time the epoch runs up to
-    };
-    std::vector<PendingSeal> awaiting;
-    std::vector<Nanos> last_flush(
-        static_cast<std::size_t>(net->host_count()), 0);
+  // --- tick loop -------------------------------------------------------------
+  // Chunk the simulation by the reporting period. Each tick: apply due
+  // shard crash/restarts, run the network, settle its counters, deliver
+  // upload payloads and acks that are due, drive retransmit timers, seal
+  // epochs whose delivery has settled (flagging the windows of epochs the
+  // protocol declared lost), flush a fresh epoch from every non-stalled
+  // host, then drain the collector so every instrument is quiescent
+  // before the health sample is taken.
+  const Nanos tick_len = opt.health_interval;
+  std::vector<collector::HostUplink> uplinks;
+  uplinks.reserve(static_cast<std::size_t>(net->host_count()));
+  for (int h = 0; h < net->host_count(); ++h) {
+    uplinks.emplace_back(h, /*max_reports_per_payload=*/64);
+  }
+  struct PendingSeal {
+    int host;
+    std::uint32_t epoch;
+    std::uint32_t end_seq;
+    WindowId wfrom;  ///< first window this epoch covers
+    WindowId wto;    ///< exclusive
+    Nanos end_time;  ///< event time the epoch runs up to
+  };
+  std::vector<PendingSeal> awaiting;
+  std::vector<Nanos> last_flush(
+      static_cast<std::size_t>(net->host_count()), 0);
 
-    // Sequence-gap losses found at seal time flag the epoch's windows, so
-    // an unrecovered (or unprotected) loss can never read back as a
-    // genuinely idle window.
-    std::map<std::uint64_t, std::pair<WindowId, WindowId>> epoch_windows;
-    col.set_epoch_loss_hook([&](int host, std::uint32_t epoch,
-                                std::uint64_t lost) {
-      if (lost == 0) return;
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(host))
-           << 32) | epoch;
-      auto it = epoch_windows.find(key);
-      if (it == epoch_windows.end()) return;
-      an.mark_windows(it->second.first, it->second.second,
-                      analyzer::WindowConfidence::kLost);
+  // Sequence-gap losses found at seal time flag the epoch's windows, so
+  // an unrecovered (or unprotected) loss can never read back as a
+  // genuinely idle window.
+  std::map<std::uint64_t, std::pair<WindowId, WindowId>> epoch_windows;
+  col.set_epoch_loss_hook([&](int host, std::uint32_t epoch,
+                              std::uint64_t lost) {
+    if (lost == 0) return;
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(host))
+         << 32) | epoch;
+    auto it = epoch_windows.find(key);
+    if (it == epoch_windows.end()) return;
+    an.mark_windows(it->second.first, it->second.second,
+                    analyzer::WindowConfidence::kLost);
+    if (lineage) {
+      lineage->on_verdict(static_cast<std::uint32_t>(host), epoch,
+                          obs::Verdict::kLost);
+    }
+  });
+  col.start();
+
+  // Seal every epoch in `awaiting` whose uplink delivery has settled
+  // (always true in passthrough mode: its payloads either landed within
+  // the previous tick or are gone for good). Seals stay in flush order
+  // per host — the collector's gap accounting chains epoch_start_seq
+  // from one seal to the next.
+  auto seal_settled = [&](bool force) {
+    std::set<int> blocked;
+    auto it = awaiting.begin();
+    while (it != awaiting.end()) {
+      const resilience::EpochStatus st =
+          link.epoch_status(it->host, it->epoch);
+      if ((opt.uplink_reliable && !st.settled && !force) ||
+          blocked.count(it->host) != 0) {
+        blocked.insert(it->host);
+        ++it;
+        continue;
+      }
+      // The protocol's word on the epoch, mirrored into the audit.
+      // Sequence-gap losses found later at seal time upgrade it via the
+      // epoch-loss hook; the tracker keeps the worst.
+      obs::Verdict v = obs::Verdict::kCovered;
+      if (opt.uplink_reliable && !st.recovered) {
+        an.mark_windows(it->wfrom, it->wto, analyzer::WindowConfidence::kLost);
+        v = obs::Verdict::kLost;
+      } else if (opt.uplink_reliable && st.retransmitted) {
+        an.mark_windows(it->wfrom, it->wto,
+                        analyzer::WindowConfidence::kRetransmitted);
+        v = obs::Verdict::kRetransmitted;
+      }
       if (lineage) {
-        lineage->on_verdict(static_cast<std::uint32_t>(host), epoch,
-                            obs::Verdict::kLost);
+        lineage->on_verdict(static_cast<std::uint32_t>(it->host), it->epoch,
+                            v);
       }
-    });
-    col.start();
-
-    // Seal every epoch in `awaiting` whose uplink delivery has settled
-    // (always true in passthrough mode: its payloads either landed within
-    // the previous tick or are gone for good). Seals stay in flush order
-    // per host — the collector's gap accounting chains epoch_start_seq
-    // from one seal to the next.
-    auto seal_settled = [&](bool force) {
-      std::set<int> blocked;
-      auto it = awaiting.begin();
-      while (it != awaiting.end()) {
-        const resilience::EpochStatus st =
-            link->epoch_status(it->host, it->epoch);
-        if ((opt.uplink_reliable && !st.settled && !force) ||
-            blocked.count(it->host) != 0) {
-          blocked.insert(it->host);
-          ++it;
-          continue;
-        }
-        if (opt.uplink_reliable) {
-          if (!st.recovered) {
-            an.mark_windows(it->wfrom, it->wto,
-                            analyzer::WindowConfidence::kLost);
-          } else if (st.retransmitted) {
-            an.mark_windows(it->wfrom, it->wto,
-                            analyzer::WindowConfidence::kRetransmitted);
-          }
-        }
-        if (lineage) {
-          // The protocol's word on the epoch, mirrored into the audit.
-          // Sequence-gap losses found later at seal time upgrade it via
-          // the epoch-loss hook; the tracker keeps the worst.
-          obs::Verdict v = obs::Verdict::kCovered;
-          if (opt.uplink_reliable) {
-            if (!st.recovered) {
-              v = obs::Verdict::kLost;
-            } else if (st.retransmitted) {
-              v = obs::Verdict::kRetransmitted;
-            }
-          }
-          lineage->on_verdict(static_cast<std::uint32_t>(it->host),
-                              it->epoch, v);
-        }
-        col.seal_epoch(it->host, it->epoch, it->end_seq);
-        // Settlement is the resilience watermark: every frame of this
-        // epoch was delivered or explicitly declared lost.
-        if (mon) {
-          mon->watermarks().note(health::Stage::kResilience, it->end_time);
-        }
-        it = awaiting.erase(it);
+      col.seal_epoch(it->host, it->epoch, it->end_seq);
+      // Settlement is the resilience watermark: every frame of this
+      // epoch was delivered or explicitly declared lost.
+      if (mon) {
+        mon->watermarks().note(health::Stage::kResilience, it->end_time);
       }
-    };
-
-    if (mon) mon->prime(0);
-    Nanos t = 0;
-    for (t = tick_len; ; t += tick_len) {
-      if (t > horizon) t = horizon;
-      if (injector) {
-        for (const auto& ev : injector->take_due_shard_events(t)) {
-          if (ev.restart) {
-            col.restart_shard(ev.shard);
-          } else {
-            col.crash_shard(ev.shard);
-          }
-        }
-      }
-      net->run_until(t);
-      net->settle_telemetry();
-      channel->advance_to(t);
-      if (reverse) reverse->advance_to(t);
-      link->tick(t);
-      // Quiesce the shards before sealing: seal-time accounting (sequence
-      // gaps, crash damage) must see every batch the workers were handed.
-      col.drain();
-      seal_settled(/*force=*/false);
-      for (int h = 0; h < net->host_count(); ++h) {
-        if (injector != nullptr && injector->host_stalled(h, t)) {
-          continue;  // the sketch keeps accumulating; next flush covers it
-        }
-        auto up = uplinks[static_cast<std::size_t>(h)].flush_epoch(
-            *sketches[static_cast<std::size_t>(h)]);
-        if (mon) mon->watermarks().note(health::Stage::kSketchSeal, t);
-        const std::size_t hi = static_cast<std::size_t>(h);
-        PendingSeal ps{h, up.epoch, up.end_seq,
-                       window_of(last_flush[hi]), window_of(t), t};
-        epoch_windows[(static_cast<std::uint64_t>(
-                           static_cast<std::uint32_t>(h))
-                       << 32) | up.epoch] = {ps.wfrom, ps.wto};
-        if (lineage) {
-          lineage->on_uplink_flush(static_cast<std::uint32_t>(h), up.epoch,
-                                   static_cast<std::uint32_t>(up.reports),
-                                   static_cast<std::uint32_t>(
-                                       up.payloads.size()),
-                                   static_cast<std::uint64_t>(t), ps.wfrom,
-                                   ps.wto);
-        }
-        last_flush[hi] = t;
-        for (auto& p : up.payloads) {
-          link->send(h, up.epoch, std::move(p.bytes), t);
-        }
-        awaiting.push_back(ps);
-      }
-      col.drain();
-      store_checkpoint();
-      if (mon) mon->tick(t);
-      serve_publish(t);
-      if (t >= horizon) break;
+      it = awaiting.erase(it);
     }
-    net->finish();
+  };
 
-    if (opt.uplink_reliable) {
-      // Settlement tail: keep stepping simulated time so in-flight frames,
-      // acks, and retransmits can land. Bounded — a frame that cannot make
-      // it within the retry budget expires rather than spinning forever.
-      int rounds = 0;
-      while (!link->all_settled() && rounds++ < 256) {
-        t += tick_len;
-        channel->advance_to(t);
-        if (reverse) reverse->advance_to(t);
-        link->tick(t);
+  if (mon) mon->prime(0);
+  Nanos t = 0;
+  for (t = tick_len; ; t += tick_len) {
+    if (t > horizon) t = horizon;
+    if (injector) {
+      for (const auto& ev : injector->take_due_shard_events(t)) {
+        if (ev.restart) {
+          col.restart_shard(ev.shard);
+        } else {
+          col.crash_shard(ev.shard);
+        }
       }
-      link->expire_outstanding();
-      channel->flush();
-      if (reverse) reverse->flush();
-    } else {
-      channel->flush();
+    }
+    net->run_until(t);
+    net->settle_telemetry();
+    channel.advance_to(t);
+    if (reverse) reverse->advance_to(t);
+    link.tick(t);
+    // Quiesce the shards before sealing: seal-time accounting (sequence
+    // gaps, crash damage) must see every batch the workers were handed.
+    col.drain();
+    seal_settled(/*force=*/false);
+    for (int h = 0; h < net->host_count(); ++h) {
+      if (injector != nullptr && injector->host_stalled(h, t)) {
+        continue;  // the sketch keeps accumulating; next flush covers it
+      }
+      auto up = uplinks[static_cast<std::size_t>(h)].flush_epoch(
+          *sketches[static_cast<std::size_t>(h)]);
+      if (mon) mon->watermarks().note(health::Stage::kSketchSeal, t);
+      const std::size_t hi = static_cast<std::size_t>(h);
+      PendingSeal ps{h, up.epoch, up.end_seq,
+                     window_of(last_flush[hi]), window_of(t), t};
+      epoch_windows[(static_cast<std::uint64_t>(
+                         static_cast<std::uint32_t>(h))
+                     << 32) | up.epoch] = {ps.wfrom, ps.wto};
+      if (lineage) {
+        lineage->on_uplink_flush(static_cast<std::uint32_t>(h), up.epoch,
+                                 static_cast<std::uint32_t>(up.reports),
+                                 static_cast<std::uint32_t>(
+                                     up.payloads.size()),
+                                 static_cast<std::uint64_t>(t), ps.wfrom,
+                                 ps.wto);
+      }
+      last_flush[hi] = t;
+      for (auto& p : up.payloads) {
+        link.send(h, up.epoch, std::move(p.bytes), t);
+      }
+      awaiting.push_back(ps);
     }
     col.drain();
-    seal_settled(/*force=*/true);
-    col.submit_mirror_batch(scorer.mirrored());
-    col.stop();
-    cstats = col.stats();
-    payloads_dropped = channel->payloads_dropped();
-    // The tail seals above flushed the last epochs into the analyzer (and
-    // its spill sink); one final checkpoint makes them durable.
     store_checkpoint();
-    // Final sample: the tail seals above are where sequence-gap losses are
-    // accounted, so the closing tick is what lets a loss alarm fire even
-    // when the loss only materializes at shutdown.
-    if (mon) mon->tick(horizon + tick_len);
-    serve_publish(horizon + tick_len);
-  } else {
-    net->run_until(horizon);
-    net->finish();
-
-    if (use_collector) {
-      // Full collection tier: uplink encode -> lossy upload channel ->
-      // sharded collector -> analyzer, one epoch covering the whole run.
-      collector::Collector& col = *collector_tier;
-      col.start();
-      std::vector<std::uint32_t> end_seq(
-          static_cast<std::size_t>(net->host_count()), 0);
-      for (int h = 0; h < net->host_count(); ++h) {
-        collector::HostUplink up(h, /*max_reports_per_payload=*/64);
-        auto upload =
-            up.flush_epoch(*sketches[static_cast<std::size_t>(h)]);
-        end_seq[static_cast<std::size_t>(h)] = upload.end_seq;
-        for (auto& p : upload.payloads) {
-          // In-transit drops are the point of --report-loss; the channel
-          // tallies them and seal_epoch() accounts the sequence gaps. The
-          // link runs in passthrough here (reliable mode forces the
-          // chunked loop above).
-          link->send(h, upload.epoch, std::move(p.bytes), /*now=*/0);
-        }
-      }
-      channel->flush();
-      for (int h = 0; h < net->host_count(); ++h) {
-        col.seal_epoch(h, 0, end_seq[static_cast<std::size_t>(h)]);
-      }
-      col.submit_mirror_batch(scorer.mirrored());
-      col.stop();
-      cstats = col.stats();
-      payloads_dropped = channel->payloads_dropped();
-    } else {
-      for (int h = 0; h < net->host_count(); ++h) {
-        an.ingest_host_sketch(h, *sketches[static_cast<std::size_t>(h)]);
-      }
-      an.ingest_mirrored(scorer.mirrored());
-    }
-    store_checkpoint();
-    serve_publish(horizon);
+    if (mon) mon->tick(t);
+    serve_publish(t);
+    if (t >= horizon) break;
   }
+  net->finish();
+
+  if (opt.uplink_reliable) {
+    // Settlement tail: keep stepping simulated time so in-flight frames,
+    // acks, and retransmits can land. Bounded — a frame that cannot make
+    // it within the retry budget expires rather than spinning forever.
+    int rounds = 0;
+    while (!link.all_settled() && rounds++ < 256) {
+      t += tick_len;
+      channel.advance_to(t);
+      if (reverse) reverse->advance_to(t);
+      link.tick(t);
+    }
+    link.expire_outstanding();
+  }
+  channel.flush();
+  if (reverse) reverse->flush();
+  col.drain();
+  seal_settled(/*force=*/true);
+  col.submit_mirror_batch(scorer.mirrored());
+  col.stop();
+  const collector::CollectorStats cstats = col.stats();
+  // The tail seals above flushed the last epochs into the analyzer (and
+  // its spill sink); one final checkpoint makes them durable.
+  store_checkpoint();
+  // Final sample: the tail seals above are where sequence-gap losses are
+  // accounted, so the closing tick is what lets a loss alarm fire even
+  // when the loss only materializes at shutdown.
+  if (mon) mon->tick(horizon + tick_len);
+  serve_publish(horizon + tick_len);
 
   std::printf("uMon simulation report\n");
   std::printf("  workload:        %s, %.0f%% load, %.1f ms, %s%s\n",
@@ -985,14 +909,14 @@ int main(int argc, char** argv) {
   int evaluated = 0;
   for (const auto& f : w.flows) {
     if (f.bytes < 100'000) continue;
-    const auto t = truth.series(f.key);
+    const auto gt = truth.series(f.key);
     const auto est = an.query_rate(f.key);
-    if (t.empty() || est.empty()) continue;
-    std::vector<double> aligned(t.values.size(), 0.0);
+    if (gt.empty() || est.empty()) continue;
+    std::vector<double> aligned(gt.values.size(), 0.0);
     for (std::size_t i = 0; i < aligned.size(); ++i) {
-      aligned[i] = est.bytes_at(t.w0 + static_cast<WindowId>(i));
+      aligned[i] = est.bytes_at(gt.w0 + static_cast<WindowId>(i));
     }
-    const auto m = analyzer::curve_metrics(t.values, aligned);
+    const auto m = analyzer::curve_metrics(gt.values, aligned);
     cos += m.cosine;
     are += m.are;
     ++evaluated;
@@ -1033,53 +957,50 @@ int main(int argc, char** argv) {
               static_cast<double>(an.mirror_bytes_ingested()) * 8 / seconds /
                   1e6);
 
-  if (use_collector) {
-    std::printf("\ncollector (%d shards, %.1f%% report loss)\n",
-                opt.collector_shards > 0 ? opt.collector_shards : 2,
-                opt.report_loss * 100);
-    std::printf("  payloads:        %llu submitted, %llu dropped in channel, "
-                "%llu malformed\n",
-                static_cast<unsigned long long>(cstats.payloads_submitted),
-                static_cast<unsigned long long>(payloads_dropped),
-                static_cast<unsigned long long>(cstats.payloads_malformed));
-    std::printf("  reports:         %llu decoded, %llu lost (seq gaps), "
-                "%llu shed\n",
-                static_cast<unsigned long long>(cstats.reports_decoded),
-                static_cast<unsigned long long>(cstats.reports_lost),
-                static_cast<unsigned long long>(cstats.reports_shed));
-    const char* policy = "block";
-    switch (collector_tier->config().overflow) {
-      case collector::OverflowPolicy::kBlock: policy = "block"; break;
-      case collector::OverflowPolicy::kDropNewest: policy = "drop-newest";
-        break;
-      case collector::OverflowPolicy::kDropOldest: policy = "drop-oldest";
-        break;
-    }
-    std::printf("  queue policy:    %s — %llu batches shed (%llu rejected "
-                "drop-newest, %llu evicted drop-oldest)\n",
-                policy,
-                static_cast<unsigned long long>(cstats.batches_shed),
-                static_cast<unsigned long long>(cstats.batches_rejected),
-                static_cast<unsigned long long>(cstats.batches_evicted));
-    std::printf("  epochs flushed:  %llu (%llu curve fragments)\n",
-                static_cast<unsigned long long>(cstats.epochs_flushed),
-                static_cast<unsigned long long>(cstats.fragments_ingested));
-    if (cstats.shard_crashes > 0) {
-      std::printf("  shard crashes:   %llu (%llu restarts) — %llu batches / "
-                  "%llu staged fragments discarded while down\n",
-                  static_cast<unsigned long long>(cstats.shard_crashes),
-                  static_cast<unsigned long long>(cstats.shard_restarts),
-                  static_cast<unsigned long long>(cstats.batches_crashed),
-                  static_cast<unsigned long long>(cstats.fragments_crashed));
-    }
+  std::printf("\ncollector (%d shards, %.1f%% report loss)\n",
+              opt.collector_shards, opt.report_loss * 100);
+  std::printf("  payloads:        %llu submitted, %llu dropped in channel, "
+              "%llu malformed\n",
+              static_cast<unsigned long long>(cstats.payloads_submitted),
+              static_cast<unsigned long long>(channel.payloads_dropped()),
+              static_cast<unsigned long long>(cstats.payloads_malformed));
+  std::printf("  reports:         %llu decoded, %llu lost (seq gaps), "
+              "%llu shed\n",
+              static_cast<unsigned long long>(cstats.reports_decoded),
+              static_cast<unsigned long long>(cstats.reports_lost),
+              static_cast<unsigned long long>(cstats.reports_shed));
+  const char* policy = "block";
+  switch (col.config().overflow) {
+    case collector::OverflowPolicy::kBlock: policy = "block"; break;
+    case collector::OverflowPolicy::kDropNewest: policy = "drop-newest";
+      break;
+    case collector::OverflowPolicy::kDropOldest: policy = "drop-oldest";
+      break;
+  }
+  std::printf("  queue policy:    %s — %llu batches shed (%llu rejected "
+              "drop-newest, %llu evicted drop-oldest)\n",
+              policy,
+              static_cast<unsigned long long>(cstats.batches_shed),
+              static_cast<unsigned long long>(cstats.batches_rejected),
+              static_cast<unsigned long long>(cstats.batches_evicted));
+  std::printf("  epochs flushed:  %llu (%llu curve fragments)\n",
+              static_cast<unsigned long long>(cstats.epochs_flushed),
+              static_cast<unsigned long long>(cstats.fragments_ingested));
+  if (cstats.shard_crashes > 0) {
+    std::printf("  shard crashes:   %llu (%llu restarts) — %llu batches / "
+                "%llu staged fragments discarded while down\n",
+                static_cast<unsigned long long>(cstats.shard_crashes),
+                static_cast<unsigned long long>(cstats.shard_restarts),
+                static_cast<unsigned long long>(cstats.batches_crashed),
+                static_cast<unsigned long long>(cstats.fragments_crashed));
   }
 
   std::uint64_t epochs_unrecovered = 0;
-  if (link && opt.uplink_reliable) {
-    const resilience::ReliableStats rs = link->stats();
+  if (opt.uplink_reliable) {
+    const resilience::ReliableStats rs = link.stats();
     epochs_unrecovered = rs.epochs_unrecovered;
     std::printf("\nreliable uplink (retx buffer %zu frames)\n",
-                link->config().retx_buffer_frames);
+                link.config().retx_buffer_frames);
     std::printf("  frames:          %llu sent, %llu retransmitted, "
                 "%llu acked, %llu expired, %llu evicted\n",
                 static_cast<unsigned long long>(rs.frames_sent),
@@ -1100,16 +1021,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(rs.epochs_recovered),
                 static_cast<unsigned long long>(rs.epochs_unrecovered));
   }
-  if (link) {
-    const auto& curves = an.curves();
-    const std::size_t retx =
-        curves.marked_count(analyzer::WindowConfidence::kRetransmitted);
-    const std::size_t lost =
-        curves.marked_count(analyzer::WindowConfidence::kLost);
-    if (retx > 0 || lost > 0) {
-      std::printf("  window flags:    %zu retransmitted, %zu lost%s\n", retx,
-                  lost, curves.gap_fill() ? " (gap-filled on read)" : "");
-    }
+  const std::size_t retx_windows =
+      an.curves().marked_count(analyzer::WindowConfidence::kRetransmitted);
+  const std::size_t lost_windows =
+      an.curves().marked_count(analyzer::WindowConfidence::kLost);
+  if (retx_windows > 0 || lost_windows > 0) {
+    std::printf("  window flags:    %zu retransmitted, %zu lost%s\n",
+                retx_windows, lost_windows,
+                an.curves().gap_fill() ? " (gap-filled on read)" : "");
   }
   if (injector) {
     const resilience::FaultStats& fs = injector->stats();
@@ -1331,7 +1250,7 @@ int main(int argc, char** argv) {
   if (opt.telemetry_requested()) {
     const telemetry::MetricRegistry* regs[] = {
         &telemetry::MetricRegistry::global(),
-        collector_tier ? &collector_tier->telemetry_registry() : nullptr};
+        &col.telemetry_registry()};
     const auto samples = telemetry::merged_snapshot(regs);
 
     std::printf("\nself-monitoring\n");
