@@ -8,14 +8,16 @@
 //
 //   ingest    write-through append + per-epoch seal into a durable store
 //             (the umon_sim --store-dir hot path), no server → baseline
-//             payload MB/s. Best-of-N trials: scheduling noise only ever
-//             inflates a run.
+//             payload MB/s.
 //   serving   identical ingest with the live plane attached: an epoll
 //             Server + Endpoints over the store being written, per-epoch
 //             snapshot publishes + SSE broadcasts (what umon_sim's
 //             serve_publish does), and a dashboard-cadence scraper thread
 //             polling /metrics + /health over the wire → serving MB/s.
-//             The relative delta is the ingest overhead of serving.
+//             Each of --trials (default 11) trials runs both legs back to
+//             back, alternating which goes first; the ingest overhead of
+//             serving is the median over trials of serving / baseline
+//             (bench/support/paired.hpp), printed with its quartiles.
 //   qps       reopen the store read-only behind a fresh server and hammer
 //             /api/v1/query over one keep-alive connection: ping-pong
 //             requests give the serial round-trip rate, pipelined batches
@@ -60,6 +62,7 @@
 #include <vector>
 
 #include "analyzer/curve_store.hpp"
+#include "bench/support/paired.hpp"
 #include "bench/support/snapshot.hpp"
 #include "serve/endpoints.hpp"
 #include "serve/server.hpp"
@@ -228,12 +231,76 @@ double ingest_once(const store::StoreConfig& cfg, int epochs, int flows,
   return elapsed;
 }
 
+/// One timed serving-attached ingest run: the live plane over the store
+/// being written, plus a dashboard-cadence scraper (every 50 ms — far
+/// hotter than a real Prometheus interval) hitting /metrics and /health
+/// over the wire. Returns elapsed microseconds; `scrapes` accumulates the
+/// scrape rounds completed.
+double serving_ingest_once(const store::StoreConfig& cfg, int epochs,
+                           int flows, std::uint64_t& scrapes) {
+  auto st = store::Store::open(cfg);
+  if (!st) {
+    std::fprintf(stderr, "cannot open %s\n", cfg.dir.c_str());
+    std::exit(1);
+  }
+  serve::Server server{serve::ServeConfig{}};
+  serve::Services svc;
+  svc.store = st.get();
+  svc.store_dir = cfg.dir;
+  serve::Endpoints endpoints{server, svc};
+  if (!server.start()) {
+    std::fprintf(stderr, "cannot start server\n");
+    std::exit(1);
+  }
+
+  // Relaxed on purpose (SA004 relaxed allowlist): the join publishes; the flag
+  // only nudges the scraper loop to exit.
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> scrape_count{0};
+  std::thread scraper([&] {
+    const int fd = dial(server.port());
+    if (fd < 0) return;
+    std::string resp;
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (!send_all(fd, get_request("/metrics")) ||
+          read_response(fd, resp) == 0) {
+        break;
+      }
+      if (!send_all(fd, get_request("/health")) ||
+          read_response(fd, resp) == 0) {
+        break;
+      }
+      scrape_count.fetch_add(1, std::memory_order_relaxed);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    ::close(fd);
+  });
+
+  analyzer::FlowCurveStore fcs;
+  fcs.set_sink(st.get());
+  const double t0 = now_us();
+  feed(fcs, *st, epochs, flows, [&](int e) {
+    const std::string tick = "{\"type\":\"tick\",\"epoch\":" +
+                             std::to_string(e) + ",\"healthy\":true}";
+    server.set_snapshot("health_jsonl", tick + "\n");
+    server.set_snapshot("status", tick);
+    server.broadcast_sse("tick", tick);
+  });
+  const double elapsed = now_us() - t0;
+  fcs.set_sink(nullptr);
+  stop.store(true, std::memory_order_relaxed);
+  scraper.join();
+  server.stop();
+  scrapes += scrape_count.load(std::memory_order_relaxed);
+  return elapsed;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   int flows = 96;
   int epochs = 256;
-  int trials = 3;
+  int trials = 11;
   std::string dir = "bench_serve_qps_dir";
   std::string out = "BENCH_serve.json";
   double min_cached_rps = 0;
@@ -262,76 +329,28 @@ int main(int argc, char** argv) {
   cfg.segment_epochs = 4;
   cfg.tier1_age_epochs = 0;  // ingest stays pure tier-0, like bench_store_io
 
-  // --- phase 1 + 2: ingest baseline vs serving-attached, interleaved -------
-  double base_us = 0, serve_us = 0;
+  // --- phase 1 + 2: ingest baseline vs serving-attached, paired ------------
+  std::vector<double> base_us, serve_us;
   std::uint64_t ingest_bytes = 0;
   std::uint64_t scrapes = 0;
   for (int t = 0; t < trials; ++t) {
-    // Baseline leg.
-    if (!fresh_dir(dir)) return 1;
-    std::uint64_t bytes = 0;
-    const double b = ingest_once(cfg, epochs, flows, bytes);
-    if (t == 0 || b < base_us) base_us = b;
-    ingest_bytes = bytes;
-
-    // Serving leg: live plane over the store being written, plus a
-    // dashboard-cadence scraper (every 50 ms — far hotter than a real
-    // Prometheus interval) hitting /metrics and /health over the wire.
-    if (!fresh_dir(dir)) return 1;
-    auto st = store::Store::open(cfg);
-    if (!st) return 1;
-    serve::Server server{serve::ServeConfig{}};
-    serve::Services svc;
-    svc.store = st.get();
-    svc.store_dir = dir;
-    serve::Endpoints endpoints{server, svc};
-    if (!server.start()) return 1;
-
-    // Relaxed on purpose (SA004 relaxed allowlist): the join publishes; the flag
-    // only nudges the scraper loop to exit.
-    std::atomic<bool> stop{false};
-    std::atomic<std::uint64_t> scrape_count{0};
-    std::thread scraper([&] {
-      const int fd = dial(server.port());
-      if (fd < 0) return;
-      std::string resp;
-      while (!stop.load(std::memory_order_relaxed)) {
-        if (!send_all(fd, get_request("/metrics")) ||
-            read_response(fd, resp) == 0) {
-          break;
-        }
-        if (!send_all(fd, get_request("/health")) ||
-            read_response(fd, resp) == 0) {
-          break;
-        }
-        scrape_count.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    for (int leg = 0; leg < 2; ++leg) {
+      if (!fresh_dir(dir)) return 1;
+      if ((t + leg) % 2 == 0) {
+        base_us.push_back(ingest_once(cfg, epochs, flows, ingest_bytes));
+      } else {
+        serve_us.push_back(serving_ingest_once(cfg, epochs, flows, scrapes));
       }
-      ::close(fd);
-    });
-
-    analyzer::FlowCurveStore fcs;
-    fcs.set_sink(st.get());
-    const double t0 = now_us();
-    feed(fcs, *st, epochs, flows, [&](int e) {
-      const std::string tick = "{\"type\":\"tick\",\"epoch\":" +
-                               std::to_string(e) + ",\"healthy\":true}";
-      server.set_snapshot("health_jsonl", tick + "\n");
-      server.set_snapshot("status", tick);
-      server.broadcast_sse("tick", tick);
-    });
-    const double s = now_us() - t0;
-    fcs.set_sink(nullptr);
-    stop.store(true, std::memory_order_relaxed);
-    scraper.join();
-    server.stop();
-    if (t == 0 || s < serve_us) serve_us = s;
-    scrapes += scrape_count.load(std::memory_order_relaxed);
+    }
   }
   const double ingest_mb = static_cast<double>(ingest_bytes) / 1e6;
-  const double base_mbs = ingest_mb / (base_us / 1e6);
-  const double serve_mbs = ingest_mb / (serve_us / 1e6);
-  const double overhead_pct = (serve_us - base_us) / base_us * 100.0;
+  const double base_mbs =
+      ingest_mb / (bench::quartiles(base_us).median / 1e6);
+  const double serve_mbs =
+      ingest_mb / (bench::quartiles(serve_us).median / 1e6);
+  const bench::Quartiles overhead =
+      bench::quartiles(bench::paired_overhead_pct(serve_us, base_us));
+  const double overhead_pct = overhead.median;
 
   // --- phase 3: cached query throughput -------------------------------------
   // Read-only reopen: the store generation never moves, so every request
@@ -518,10 +537,12 @@ int main(int argc, char** argv) {
       probe_p99_us = samples[(samples.size() * 99) / 100];
     }
   }
-  std::printf("  ingest:      %.2f MB bare %.1f ms (%.1f MB/s), serving "
-              "%.1f ms (%.1f MB/s) -> overhead %.2f%% (%llu scrapes)\n",
-              ingest_mb, base_us / 1e3, base_mbs, serve_us / 1e3, serve_mbs,
-              overhead_pct, static_cast<unsigned long long>(scrapes));
+  std::printf("  ingest:      %.2f MB bare %.1f MB/s, serving %.1f MB/s "
+              "(medians of %d trials) -> overhead %.2f%% [%.2f, %.2f] "
+              "(%llu scrapes)\n",
+              ingest_mb, base_mbs, serve_mbs, trials, overhead_pct,
+              overhead.q1, overhead.q3,
+              static_cast<unsigned long long>(scrapes));
   std::printf("  cached query: serial %.0f rps, pipelined %.0f rps "
               "(%llu requests, %zu B each, cache %llu hit / %llu miss)\n",
               serial_rps, pipelined_rps,

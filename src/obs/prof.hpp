@@ -12,11 +12,12 @@
 //   * a folded-stack table keyed on the packed scope stack (4 bits per
 //     frame, bottom 4 frames), exportable as flamegraph "folded" lines.
 //
-// Cost model, enforced by bench_obs_overhead: disabled, a scope is one
-// relaxed load and a branch (≤5 ns/op, same budget as the telemetry shims);
-// enabled, the whole pipeline must stay within 2% of its uninstrumented
-// wall time. rdtsc is calibrated against telemetry::monotonic_ns() at
-// prof_enable() so exports can convert cycles to nanoseconds.
+// Cost model, enforced by bench_overhead: disabled, a scope is one relaxed
+// load and a branch (≤5 ns/op, same budget as the telemetry shims);
+// enabled, the whole pipeline's median over paired rounds must stay within
+// 2% of its uninstrumented wall time. rdtsc is calibrated against
+// telemetry::monotonic_ns() at prof_enable() so exports can convert cycles
+// to nanoseconds.
 //
 // This header is the only place in the tree allowed to touch rdtsc or a raw
 // OS clock on a hot path (umon-sca SA010 bans it everywhere else).
