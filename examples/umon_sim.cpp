@@ -739,6 +739,22 @@ int main(int argc, char** argv) {
   std::vector<Nanos> last_flush(
       static_cast<std::size_t>(net->host_count()), 0);
 
+  // Window flags wait for the next drain. A shard worker may still be
+  // flushing an earlier-sealed epoch into the analyzer, and the store
+  // stamps each record with the flags present when it lands, so flagging
+  // from this thread at once would race that flush and let thread timing
+  // reach the segment bytes.
+  struct PendingMark {
+    WindowId from;
+    WindowId to;
+    analyzer::WindowConfidence conf;
+  };
+  std::vector<PendingMark> marks;
+  auto apply_marks = [&] {
+    for (const PendingMark& m : marks) an.mark_windows(m.from, m.to, m.conf);
+    marks.clear();
+  };
+
   // Sequence-gap losses found at seal time flag the epoch's windows, so
   // an unrecovered (or unprotected) loss can never read back as a
   // genuinely idle window.
@@ -751,8 +767,8 @@ int main(int argc, char** argv) {
          << 32) | epoch;
     auto it = epoch_windows.find(key);
     if (it == epoch_windows.end()) return;
-    an.mark_windows(it->second.first, it->second.second,
-                    analyzer::WindowConfidence::kLost);
+    marks.push_back({it->second.first, it->second.second,
+                     analyzer::WindowConfidence::kLost});
     if (lineage) {
       lineage->on_verdict(static_cast<std::uint32_t>(host), epoch,
                           obs::Verdict::kLost);
@@ -782,11 +798,12 @@ int main(int argc, char** argv) {
       // epoch-loss hook; the tracker keeps the worst.
       obs::Verdict v = obs::Verdict::kCovered;
       if (opt.uplink_reliable && !st.recovered) {
-        an.mark_windows(it->wfrom, it->wto, analyzer::WindowConfidence::kLost);
+        marks.push_back(
+            {it->wfrom, it->wto, analyzer::WindowConfidence::kLost});
         v = obs::Verdict::kLost;
       } else if (opt.uplink_reliable && st.retransmitted) {
-        an.mark_windows(it->wfrom, it->wto,
-                        analyzer::WindowConfidence::kRetransmitted);
+        marks.push_back(
+            {it->wfrom, it->wto, analyzer::WindowConfidence::kRetransmitted});
         v = obs::Verdict::kRetransmitted;
       }
       if (lineage) {
@@ -824,6 +841,7 @@ int main(int argc, char** argv) {
     // Quiesce the shards before sealing: seal-time accounting (sequence
     // gaps, crash damage) must see every batch the workers were handed.
     col.drain();
+    apply_marks();
     seal_settled(/*force=*/false);
     for (int h = 0; h < net->host_count(); ++h) {
       if (injector != nullptr && injector->host_stalled(h, t)) {
@@ -853,6 +871,7 @@ int main(int argc, char** argv) {
       awaiting.push_back(ps);
     }
     col.drain();
+    apply_marks();
     store_checkpoint();
     if (mon) mon->tick(t);
     serve_publish(t);
@@ -876,9 +895,11 @@ int main(int argc, char** argv) {
   channel.flush();
   if (reverse) reverse->flush();
   col.drain();
+  apply_marks();
   seal_settled(/*force=*/true);
   col.submit_mirror_batch(scorer.mirrored());
   col.stop();
+  apply_marks();
   const collector::CollectorStats cstats = col.stats();
   // The tail seals above flushed the last epochs into the analyzer (and
   // its spill sink); one final checkpoint makes them durable.

@@ -77,6 +77,8 @@ class FlowCurveStore {
   /// by window. `window_offset` is subtracted from every window id (host
   /// clock correction). The collector's decode shards strip zeros in
   /// parallel so this serial section only touches non-zero windows.
+  /// Windows after the flow's last stored one append; a late batch merges
+  /// once with the stored tail it overlaps, never one insert per window.
   void add_sparse(const FlowKey& flow,
                   std::span<const std::pair<WindowId, double>> windows,
                   WindowId window_offset = 0);
@@ -135,48 +137,61 @@ class FlowCurveStore {
   [[nodiscard]] std::size_t window_count() const { return total_windows_; }
 
   /// Approximate resident bytes of the store: per-flow entry overhead plus
-  /// per-window map node cost (key + value + three pointers + color, the
-  /// usual std::map node layout).
+  /// the reserved capacity of every flow's window vector (tracked
+  /// incrementally, O(1) to read).
   [[nodiscard]] std::size_t memory_bytes() const {
-    return flows_.size() * kEntryBytes + total_windows_ * kWindowNodeBytes;
+    return flows_.size() * kEntryBytes + window_capacity_ * kWindowBytes;
   }
 
  private:
+  using Window = std::pair<WindowId, double>;
+  /// Sparse accumulated counters of one flow, sorted by window with one
+  /// element per window. Its extent is front()/back().
+  using WindowVec = std::vector<Window>;
   struct Entry {
     FlowKey key;
-    std::map<WindowId, double> windows;  // sparse accumulated counters
-    /// Cached extent of `windows` (valid when the map is non-empty):
-    /// range() consults these before walking the tree, so a query that
-    /// misses the flow's lifetime entirely is O(1) after the hash lookup.
-    WindowId first = 0;
-    WindowId last = 0;
+    WindowVec windows;
   };
-  using WindowMap = std::map<WindowId, double>;
 
-  /// Fold window `w` into the entry's cached extent (call after insert).
-  static void touch_extent(Entry& e, WindowId w);
+ public:
+  /// memory_bytes() cost model: one hash node per flow, one element of
+  /// reserved vector capacity per window.
+  static constexpr std::size_t kEntryBytes =
+      sizeof(Entry) + 2 * sizeof(void*);
+  static constexpr std::size_t kWindowBytes = sizeof(Window);
+
+ private:
+  /// Fold the windows appended to `e.windows` at [old_size, end) into the
+  /// sorted vector: sort the batch stably, merge it with the part of the
+  /// existing curve it overlaps and sum equal windows in arrival order.
+  /// Costs O(m log m + overlapped tail) for a batch of m windows; an
+  /// in-order batch (the usual case) only coalesces in place.
+  void merge_appended(Entry& e, std::size_t old_size);
 
   [[nodiscard]] bool is_lost(WindowId w) const;
   /// Nearest stored neighbors of `w` in `windows` that are themselves
   /// trusted (not marked kLost); false when either side is missing.
-  bool trusted_neighbors(const WindowMap& windows, WindowId w,
-                         WindowMap::const_iterator& left,
-                         WindowMap::const_iterator& right) const;
+  bool trusted_neighbors(const WindowVec& windows, WindowId w,
+                         WindowVec::const_iterator& left,
+                         WindowVec::const_iterator& right) const;
   /// True when range() can interpolate `w` for every flow spanning it.
   [[nodiscard]] bool gap_fillable(WindowId w) const;
-
-  static constexpr std::size_t kEntryBytes =
-      sizeof(Entry) + 2 * sizeof(void*);  // hash node overhead
-  static constexpr std::size_t kWindowNodeBytes =
-      sizeof(std::pair<WindowId, double>) + 4 * sizeof(void*);
 
   int window_shift_;
   std::unordered_map<std::uint64_t, Entry> flows_;
   std::size_t total_windows_ = 0;
+  std::size_t window_capacity_ = 0;  ///< sum of windows.capacity()
   /// Store-global confidence marks (absent = kCovered). Global rather than
   /// per-flow: a lost epoch hides *which* flows it carried, so every flow's
   /// view of the affected windows is suspect.
   std::map<WindowId, WindowConfidence> marks_;
+  /// The last run mark_windows walked. Marks only upgrade and are never
+  /// removed, so each of its windows still carries at least `conf`.
+  struct MarkRun {
+    WindowId from = 0;
+    WindowId to = 0;
+    WindowConfidence conf = WindowConfidence::kCovered;
+  } last_mark_;
   bool gap_fill_ = false;
   CurveSink* sink_ = nullptr;
 };

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <span>
 
@@ -106,12 +107,44 @@ struct Collector::HostSeqState {
 };
 
 struct Collector::PendingEpoch {
+  using Fragments = std::vector<analyzer::Analyzer::SparseFragment>;
+
   int host = -1;
   std::uint32_t epoch = 0;
-  std::vector<analyzer::Analyzer::SparseFragment> fragments;
+  /// Staged fragments per shard index. They are concatenated in shard order
+  /// at flush, so the order of a (host, epoch)'s records never depends on
+  /// which shard acked the seal first.
+  std::vector<Fragments> by_shard;
   std::size_t wire_bytes = 0;
   Nanos max_event_ns = -1;  ///< max across the contributing shards
   int acks = 0;  ///< shards that have drained their share
+
+  void stage(std::uint64_t key, int shard, std::size_t shards,
+             Shard::StagedEpoch&& staged) {
+    host = static_cast<int>(key >> 32);
+    epoch = static_cast<std::uint32_t>(key);
+    by_shard.resize(shards);
+    Fragments& slot = by_shard[static_cast<std::size_t>(shard)];
+    if (slot.empty()) {
+      slot = std::move(staged.fragments);
+    } else {  // stop() folding a shard's post-seal staging into its ack
+      std::move(staged.fragments.begin(), staged.fragments.end(),
+                std::back_inserter(slot));
+    }
+    wire_bytes += staged.wire_bytes;
+    if (staged.max_event_ns > max_event_ns) max_event_ns = staged.max_event_ns;
+  }
+
+  Fragments merged() && {
+    std::size_t n = 0;
+    for (const Fragments& f : by_shard) n += f.size();
+    Fragments out;
+    out.reserve(n);
+    for (Fragments& f : by_shard) {
+      std::move(f.begin(), f.end(), std::back_inserter(out));
+    }
+    return out;
+  }
 };
 
 /// Every counter lives in the collector's private registry so stats() can
@@ -249,26 +282,19 @@ void Collector::stop() {
   // Flush whatever never got sealed (end of run): merge the per-shard
   // staging remainders and deliver them. Workers are joined, so this is
   // plain single-threaded code.
-  std::unordered_map<std::uint64_t, PendingEpoch> leftovers;
+  // Ordered by (host, epoch) so the end-of-run flush order is fixed too.
+  std::map<std::uint64_t, PendingEpoch> leftovers;
   {
     std::lock_guard el(epoch_mutex_);
-    leftovers = std::move(pending_);
+    for (auto& [key, p] : pending_) leftovers.emplace(key, std::move(p));
     pending_.clear();
   }
-  for (auto& sh : shards_) {
-    for (auto& [key, staged] : sh->staging) {
-      PendingEpoch& p = leftovers[key];
-      p.host = static_cast<int>(key >> 32);
-      p.epoch = static_cast<std::uint32_t>(key);
-      p.wire_bytes += staged.wire_bytes;
-      if (staged.max_event_ns > p.max_event_ns) {
-        p.max_event_ns = staged.max_event_ns;
-      }
-      p.fragments.insert(p.fragments.end(),
-                         std::make_move_iterator(staged.fragments.begin()),
-                         std::make_move_iterator(staged.fragments.end()));
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    for (auto& [key, staged] : shards_[s]->staging) {
+      leftovers[key].stage(key, static_cast<int>(s), shards_.size(),
+                           std::move(staged));
     }
-    sh->staging.clear();
+    shards_[s]->staging.clear();
   }
   for (auto& [key, p] : leftovers) flush_epoch_to_sink(std::move(p));
 
@@ -669,21 +695,26 @@ void Collector::handle_seal(int shard_id, const ShardMsg& msg) {
 
   std::unique_lock el(epoch_mutex_);
   PendingEpoch& p = pending_[key];
-  p.host = msg.host;
-  p.epoch = msg.epoch;
-  p.wire_bytes += staged.wire_bytes;
-  if (staged.max_event_ns > p.max_event_ns) {
-    p.max_event_ns = staged.max_event_ns;
-  }
-  p.fragments.insert(p.fragments.end(),
-                     std::make_move_iterator(staged.fragments.begin()),
-                     std::make_move_iterator(staged.fragments.end()));
+  p.stage(key, shard_id, shards_.size(), std::move(staged));
   p.acks += 1;
   if (p.acks < cfg_.shards) return;
-  PendingEpoch done = std::move(p);
+  ready_.push_back(std::move(p));
   pending_.erase(key);
-  el.unlock();
-  flush_epoch_to_sink(std::move(done));
+  // Every shard acks seals in FIFO order, so epochs complete in seal order.
+  // One flusher at a time drains the completed FIFO, so they also reach the
+  // sink in seal order: a shard that completes an epoch while another is
+  // flushing leaves it queued, and the active flusher drains it before its
+  // own shard moves on (which keeps drain()'s barrier argument intact).
+  if (flushing_) return;
+  flushing_ = true;
+  while (!ready_.empty()) {
+    std::vector<PendingEpoch> due;
+    due.swap(ready_);
+    el.unlock();
+    for (PendingEpoch& done : due) flush_epoch_to_sink(std::move(done));
+    el.lock();
+  }
+  flushing_ = false;
 }
 
 void Collector::flush_epoch_to_sink(PendingEpoch&& done) {
@@ -701,7 +732,7 @@ void Collector::flush_epoch_to_sink(PendingEpoch&& done) {
   batch.host = done.host;
   batch.epoch = done.epoch;
   batch.wire_bytes = done.wire_bytes;
-  batch.fragments = std::move(done.fragments);
+  batch.fragments = std::move(done).merged();
   const std::uint64_t n = batch.fragments.size();
   {
     std::lock_guard sink_lock(sink_mutex_);

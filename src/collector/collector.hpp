@@ -232,6 +232,9 @@ class Collector {
   /// Guards the epoch-completion barrier state.
   mutable std::mutex epoch_mutex_;
   std::unordered_map<std::uint64_t, PendingEpoch> pending_;
+  /// Completed epochs in completion (= seal) order, awaiting the flusher.
+  std::vector<PendingEpoch> ready_;
+  bool flushing_ = false;  ///< a shard worker is draining ready_
 
   /// Record that `count` reports/fragments of (host, epoch) were discarded
   /// by a crashed shard (called from shard workers).

@@ -15,7 +15,8 @@ constexpr const char* kNdjson = "application/x-ndjson";
 constexpr const char* kPromText = "text/plain; version=0.0.4";
 
 [[nodiscard]] HttpResponse err(int status, const std::string& what) {
-  return HttpResponse{status, kJson, "{\"error\":\"" + what + "\"}\n", false};
+  return HttpResponse{status, kJson, "{\"error\":\"" + what + "\"}\n", false,
+                      {}};
 }
 
 [[nodiscard]] bool parse_u32(const std::string& s, std::uint32_t& out) {
@@ -75,7 +76,7 @@ Routed Endpoints::route(const HttpRequest& req, const LoadHint& hint) {
       return Routed{err(405, "use GET or POST"), "/api/v1/shutdown"};
     }
     server_.request_shutdown();
-    return Routed{HttpResponse{200, kJson, "{\"ok\":true}\n", false},
+    return Routed{HttpResponse{200, kJson, "{\"ok\":true}\n", false, {}},
                   "/api/v1/shutdown"};
   }
 
@@ -134,7 +135,7 @@ HttpResponse Endpoints::get_index() {
       "\"/dashboard\",\"/prof\",\"/lineage\",\"/lineage/{host}/{epoch}\","
       "\"/api/v1/query\",\"/api/v1/stream\",\"/api/v1/status\","
       "\"/api/v1/shutdown\"]}\n";
-  return HttpResponse{200, kJson, kIndex, false};
+  return HttpResponse{200, kJson, kIndex, false, {}};
 }
 
 HttpResponse Endpoints::get_metrics() {
@@ -143,27 +144,27 @@ HttpResponse Endpoints::get_metrics() {
   std::ostringstream oss;
   telemetry::write_prometheus(
       oss, std::span<const telemetry::MetricRegistry* const>(regs));
-  return HttpResponse{200, kPromText, oss.str(), false};
+  return HttpResponse{200, kPromText, oss.str(), false, {}};
 }
 
 HttpResponse Endpoints::get_snapshot_slot(const std::string& key,
                                           const char* content_type,
                                           const char* missing_error) {
   if (!server_.has_snapshot(key)) return err(404, missing_error);
-  return HttpResponse{200, content_type, server_.snapshot(key), false};
+  return HttpResponse{200, content_type, server_.snapshot(key), false, {}};
 }
 
 HttpResponse Endpoints::get_prof() {
   std::ostringstream oss;
   obs::prof_write_folded(oss);
-  return HttpResponse{200, "text/plain", oss.str(), false};
+  return HttpResponse{200, "text/plain", oss.str(), false, {}};
 }
 
 HttpResponse Endpoints::get_lineage_all() {
   if (svc_.lineage == nullptr) return err(404, "lineage not enabled");
   std::ostringstream oss;
   svc_.lineage->write_audit_jsonl(oss);
-  return HttpResponse{200, kNdjson, oss.str(), false};
+  return HttpResponse{200, kNdjson, oss.str(), false, {}};
 }
 
 HttpResponse Endpoints::get_lineage_one(const std::string& path,
@@ -187,7 +188,7 @@ HttpResponse Endpoints::get_lineage_one(const std::string& path,
   if (!rec.has_value()) return err(404, "no lineage for that (host, epoch)");
   std::ostringstream oss;
   obs::LineageTracker::write_audit_record(oss, *rec);
-  return HttpResponse{200, kNdjson, oss.str(), false};
+  return HttpResponse{200, kNdjson, oss.str(), false, {}};
 }
 
 HttpResponse Endpoints::shed_overloaded() {
@@ -277,7 +278,7 @@ HttpResponse Endpoints::get_query(const HttpRequest& req,
     } else {
       store::write_flow_list_json(oss, live_head(), extents);
     }
-    return HttpResponse{200, content_type, oss.str(), false};
+    return HttpResponse{200, content_type, oss.str(), false, {}};
   }
 
   store::Query q;
@@ -297,7 +298,7 @@ HttpResponse Endpoints::get_query(const HttpRequest& req,
       } else {
         store::write_empty_json(oss, live_head());
       }
-      return HttpResponse{200, content_type, oss.str(), false};
+      return HttpResponse{200, content_type, oss.str(), false, {}};
     }
     q.from = lo;
     q.to = hi;
@@ -319,7 +320,7 @@ HttpResponse Endpoints::get_query(const HttpRequest& req,
   if (it != cache_.end()) {
     cache_hits_->inc();
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return HttpResponse{200, content_type, it->second.body, false};
+    return HttpResponse{200, content_type, it->second.body, false, {}};
   }
   // Cost-based admission: a miss means engine + serializer work under
   // load — refuse it and tell the client when to come back.
@@ -340,7 +341,7 @@ HttpResponse Endpoints::get_query(const HttpRequest& req,
       } else {
         store::write_empty_json(oss, live_head());
       }
-      return HttpResponse{200, content_type, oss.str(), false};
+      return HttpResponse{200, content_type, oss.str(), false, {}};
     }
   }
 
@@ -358,7 +359,7 @@ HttpResponse Endpoints::get_query(const HttpRequest& req,
     cache_.erase(lru_.back());
     lru_.pop_back();
   }
-  return HttpResponse{200, content_type, std::move(body), false};
+  return HttpResponse{200, content_type, std::move(body), false, {}};
 }
 
 }  // namespace umon::serve

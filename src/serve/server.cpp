@@ -278,7 +278,7 @@ void Server::handle_parsed(Conn& c, const HttpRequest& req) {
   } else {
     routed.response =
         HttpResponse{503, "application/json",
-                     "{\"error\":\"no dispatcher attached\"}\n", false};
+                     "{\"error\":\"no dispatcher attached\"}\n", false, {}};
   }
 
   if (routed.response.sse) {

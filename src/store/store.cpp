@@ -28,6 +28,23 @@ WindowConfidence worse(WindowConfidence a, WindowConfidence b) {
   return static_cast<std::uint8_t>(a) >= static_cast<std::uint8_t>(b) ? a : b;
 }
 
+/// Mark [from, to) with `conf` in a per-window map, keeping the worse flag
+/// where one exists. One descent, then an ordered walk: existing marks are
+/// upgraded in place and missing windows insert right before the walk
+/// position, so each window costs amortized O(1), not a tree search.
+void mark_run(std::map<WindowId, WindowConfidence>& marks, WindowId from,
+              WindowId to, WindowConfidence conf) {
+  auto it = marks.lower_bound(from);
+  for (WindowId w = from; w < to; ++w) {
+    if (it != marks.end() && it->first == w) {
+      it->second = worse(it->second, conf);
+      ++it;
+    } else {
+      marks.emplace_hint(it, w, conf);
+    }
+  }
+}
+
 /// Coalesce per-window marks into maximal same-confidence runs.
 std::vector<ConfidenceRun> runs_from_marks(
     const std::map<WindowId, WindowConfidence>& marks) {
@@ -315,10 +332,7 @@ void Store::index_record(std::uint32_t segment_id, const RecordHeader& rh,
       const auto runs = decode_confidence(payload);
       if (!runs.has_value()) return;
       for (const ConfidenceRun& run : *runs) {
-        for (WindowId w = run.from; w < run.to; ++w) {
-          auto [it, inserted] = marks_.try_emplace(w, run.conf);
-          if (!inserted) it->second = worse(it->second, run.conf);
-        }
+        mark_run(marks_, run.from, run.to, run.conf);
       }
       if (records != nullptr) ++*records;
       break;
@@ -361,11 +375,7 @@ void Store::append_sparse(
   SparseCurveRecord rec;
   rec.flow = flow;
   rec.windows.assign(windows.begin(), windows.end());
-  WindowConfidence worst = WindowConfidence::kCovered;
-  for (const auto& [w, v] : rec.windows) {
-    const auto it = marks_.find(w);
-    if (it != marks_.end()) worst = worse(worst, it->second);
-  }
+  const WindowConfidence worst = worst_mark(rec.windows);
   const SegmentWriter::AppendRef at =
       active_->append_sparse(epoch_, rec, worst);
 
@@ -390,6 +400,19 @@ void Store::append_sparse(
   if (lineage_ != nullptr) lineage_->on_store_spill(1, at.payload_len);
 }
 
+WindowConfidence Store::worst_mark(
+    std::span<const std::pair<WindowId, double>> windows) const {
+  WindowConfidence worst = WindowConfidence::kCovered;
+  // One descent, then walk the marks alongside the sorted windows.
+  auto it = marks_.lower_bound(windows.front().first);
+  for (const auto& [w, v] : windows) {
+    while (it != marks_.end() && it->first < w) ++it;
+    if (it == marks_.end()) break;
+    if (it->first == w) worst = worse(worst, it->second);
+  }
+  return worst;
+}
+
 void Store::mark_confidence(WindowId from, WindowId to,
                             WindowConfidence conf) {
   std::lock_guard lock(mutex_);
@@ -399,9 +422,12 @@ void Store::mark_confidence(WindowId from, WindowId to,
 void Store::mark_confidence_locked(WindowId from, WindowId to,
                                    WindowConfidence conf) {
   if (conf == WindowConfidence::kCovered || from >= to) return;
-  for (WindowId w = from; w < to; ++w) {
-    auto [it, inserted] = marks_.try_emplace(w, conf);
-    if (!inserted) it->second = worse(it->second, conf);
+  // A repeat inside the last run at no worse class would change no window
+  // (each host's epoch marks the same windows).
+  if (from < last_mark_.from || to > last_mark_.to ||
+      worse(conf, last_mark_.conf) != last_mark_.conf) {
+    mark_run(marks_, from, to, conf);
+    last_mark_ = ConfidenceRun{from, to, conf};
   }
   if (writable_) pending_runs_.push_back(ConfidenceRun{from, to, conf});
 }
@@ -693,10 +719,7 @@ bool Store::compact_segment_locked(std::uint32_t segment_id) {
             const auto runs = decode_confidence(payload);
             if (!runs.has_value()) { decode_ok = false; return; }
             for (const ConfidenceRun& run : *runs) {
-              for (WindowId w = run.from; w < run.to; ++w) {
-                auto [it, inserted] = run_marks.try_emplace(w, run.conf);
-                if (!inserted) it->second = worse(it->second, run.conf);
-              }
+              mark_run(run_marks, run.from, run.to, run.conf);
             }
             break;
           }

@@ -157,8 +157,9 @@ class Store : public analyzer::CurveSink {
   Store& operator=(const Store&) = delete;
 
   // --- write path (single appender) ----------------------------------------
-  /// Append one flow's sparse windows to the current epoch. Values
-  /// accumulate across records on read, so write-through deltas are fine.
+  /// Append one flow's sparse windows, sorted by window, to the current
+  /// epoch. Values accumulate across records on read, so write-through
+  /// deltas are fine.
   void append_sparse(const FlowKey& flow,
                      std::span<const std::pair<WindowId, double>> windows);
 
@@ -291,6 +292,10 @@ class Store : public analyzer::CurveSink {
                                        const std::string& path);
   void mark_confidence_locked(WindowId from, WindowId to,
                               analyzer::WindowConfidence conf);
+  /// Worst mark over non-empty, window-sorted `windows` (kCovered when
+  /// none is marked). Lock held.
+  [[nodiscard]] analyzer::WindowConfidence worst_mark(
+      std::span<const std::pair<WindowId, double>> windows) const;
   /// Remove `bad` chunks of flow `packed` from the index; promote covering
   /// shadow chunks where a read-repair shadow survives, flag kLost where
   /// none does. Returns repaired/lost tallies through the out-params.
@@ -341,6 +346,10 @@ class Store : public analyzer::CurveSink {
   std::unordered_map<std::uint64_t, FlowEntry> flows_;
   std::map<WindowId, analyzer::WindowConfidence> marks_;
   std::vector<ConfidenceRun> pending_runs_;  ///< marks made this epoch
+  /// The last run mark_confidence_locked walked into marks_. Marks only
+  /// get worse and are never erased, so its windows still carry at least
+  /// its class.
+  ConfidenceRun last_mark_;
   PageCacheStats cache_published_;  ///< last counter values pushed to telemetry
   telemetry::MetricRegistry registry_;
   std::unique_ptr<Instruments> ins_;

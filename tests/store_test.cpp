@@ -982,6 +982,62 @@ TEST(StoreQuery, GroupingOpsAndConfidence) {
   EXPECT_DOUBLE_EQ(r.series[1], 70.0);
 }
 
+TEST(StoreQuery, RepeatedMarksKeepTheWorstClass) {
+  // Each host's epoch marks the same windows, so runs repeat. A repeat
+  // inside the last run may skip the walk, but a worse class must still
+  // upgrade, a better one must never downgrade, and every run persists.
+  // A record appended after the marks carries the worst mark among its
+  // own (sparse) windows.
+  TempDir dir("repeat_marks");
+  StoreConfig cfg;
+  cfg.dir = dir.path;
+  cfg.tier1_age_epochs = 0;
+  const auto expect_marks = [](const Store& st) {
+    const auto at = [&](WindowId w) { return st.worst_confidence(w, w + 1); };
+    EXPECT_EQ(at(9), WindowConfidence::kCovered);
+    EXPECT_EQ(at(10), WindowConfidence::kRetransmitted);
+    EXPECT_EQ(at(12), WindowConfidence::kLost);
+    EXPECT_EQ(at(13), WindowConfidence::kLost);
+    EXPECT_EQ(at(14), WindowConfidence::kRetransmitted);
+    EXPECT_EQ(at(18), WindowConfidence::kGapFilled);
+    EXPECT_EQ(at(24), WindowConfidence::kGapFilled);
+    EXPECT_EQ(at(25), WindowConfidence::kCovered);
+  };
+  const auto record_class = [](Store& st, std::uint32_t flow) {
+    WindowConfidence c = WindowConfidence::kCovered;
+    st.visit_flow(make_flow(flow), 0, 100,
+                  [&](const ChunkView& v) { c = v.confidence; });
+    return c;
+  };
+  const auto expect_records = [&](Store& st) {
+    EXPECT_EQ(record_class(st, 1), WindowConfidence::kLost);
+    EXPECT_EQ(record_class(st, 2), WindowConfidence::kRetransmitted);
+    EXPECT_EQ(record_class(st, 3), WindowConfidence::kCovered);
+  };
+  {
+    auto st = Store::open(cfg);
+    ASSERT_NE(st, nullptr);
+    st->mark_confidence(10, 20, WindowConfidence::kRetransmitted);
+    st->mark_confidence(10, 20, WindowConfidence::kRetransmitted);
+    st->mark_confidence(12, 14, WindowConfidence::kLost);
+    st->mark_confidence(10, 20, WindowConfidence::kRetransmitted);
+    st->mark_confidence(12, 13, WindowConfidence::kGapFilled);
+    st->mark_confidence(18, 25, WindowConfidence::kGapFilled);
+    st->mark_confidence(20, 22, WindowConfidence::kRetransmitted);
+    expect_marks(*st);
+    using Windows = std::vector<std::pair<WindowId, double>>;
+    st->append_sparse(make_flow(1), Windows{{9, 1.0}, {13, 1.0}});
+    st->append_sparse(make_flow(2), Windows{{11, 1.0}, {25, 1.0}});
+    st->append_sparse(make_flow(3), Windows{{25, 1.0}, {30, 1.0}});
+    ASSERT_TRUE(st->seal_epoch());
+    expect_records(*st);
+  }
+  auto reopened = Store::open(cfg);
+  ASSERT_NE(reopened, nullptr);
+  expect_marks(*reopened);
+  expect_records(*reopened);
+}
+
 TEST(StoreQuery, CacheHitsAndGenerationInvalidation) {
   TempDir dir("qcache");
   StoreConfig cfg;
