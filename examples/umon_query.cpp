@@ -154,9 +154,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto extents = store::flow_extents(*st);
   const store::StoreHead head =
-      store::make_head(opt.store_dir, rinfo, st->flows().size());
+      store::make_head(opt.store_dir, rinfo, st->flow_count());
   if (!opt.json && !opt.csv) {
     std::printf("store %s: %zu segment(s), %zu flow(s), last sealed epoch "
                 "%s\n",
@@ -171,11 +170,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Default range: the union of every stored flow extent.
-  WindowId lo = 0, hi = 0;
-  const bool have_extent = store::flow_extent_union(extents, lo, hi);
-
   if (opt.list_flows) {
+    const auto extents = store::flow_extents(*st);
     if (opt.json) {
       store::write_flow_list_json(std::cout, head, extents);
       return 0;
@@ -200,7 +196,10 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  if (!have_extent) {
+  // Default range: the store's curve extent, the union of every stored flow
+  // extent.
+  WindowId first = 0, last = 0;
+  if (!st->curve_extent(first, last)) {
     if (opt.json) {
       store::write_empty_json(std::cout, head);
     } else if (opt.csv) {
@@ -212,8 +211,10 @@ int main(int argc, char** argv) {
   }
 
   store::Query q;
-  q.from = opt.from_us ? window_of(static_cast<Nanos>(*opt.from_us * 1e3)) : lo;
-  q.to = opt.to_us ? window_of(static_cast<Nanos>(*opt.to_us * 1e3)) + 1 : hi;
+  q.from =
+      opt.from_us ? window_of(static_cast<Nanos>(*opt.from_us * 1e3)) : first;
+  q.to = opt.to_us ? window_of(static_cast<Nanos>(*opt.to_us * 1e3)) + 1
+                   : last + 1;
   q.resolution = opt.resolution;
   q.op = opt.op;
   q.flows = opt.flows;

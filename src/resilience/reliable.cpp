@@ -36,9 +36,12 @@ ReliableLink::ReliableLink(const ReliableConfig& cfg,
   if (cfg_.rto_max < cfg_.base_rto) cfg_.rto_max = cfg_.base_rto;
   frames_sent_ = reg_.counter("umon_resilience_frames_sent_total", {},
                               "Data frames handed to the forward channel");
-  frames_retransmitted_ =
-      reg_.counter("umon_resilience_frames_retransmitted_total", {},
-                   "Data frames resent after NACK or RTO");
+  retx_nack_ = reg_.counter("umon_resilience_frames_retransmitted_total",
+                            {{"trigger", "nack"}},
+                            "Data frames resent, by trigger: NACK or RTO");
+  retx_timeout_ = reg_.counter("umon_resilience_frames_retransmitted_total",
+                               {{"trigger", "timeout"}},
+                               "Data frames resent, by trigger: NACK or RTO");
   frames_acked_ = reg_.counter("umon_resilience_frames_acked_total", {},
                                "Frames released by cumulative acks");
   frames_expired_ = reg_.counter("umon_resilience_frames_expired_total", {},
@@ -107,7 +110,7 @@ void ReliableLink::send(int host, std::uint32_t epoch,
 }
 
 void ReliableLink::retransmit(int host, SenderState& st, RetxEntry& e,
-                              Nanos now) {
+                              Nanos now, telemetry::Counter* trigger) {
   e.attempts += 1;
   e.last_send = now;
   double rto = static_cast<double>(cfg_.base_rto);
@@ -115,7 +118,7 @@ void ReliableLink::retransmit(int host, SenderState& st, RetxEntry& e,
   for (int i = 1; i < e.attempts && rto < cap; ++i) rto *= cfg_.rto_backoff;
   if (rto > cap) rto = cap;
   e.next_retry = now + static_cast<Nanos>(rto);
-  frames_retransmitted_->inc();
+  trigger->inc();
   epochs_[epoch_key(host, e.epoch)].retransmits += 1;
   if (lineage_ != nullptr) {
     lineage_->on_frame_retransmitted(uhost(host), e.epoch);
@@ -200,7 +203,7 @@ void ReliableLink::tick(Nanos now) {
         expire_entry(host, *it, /*evicted=*/false);
         it = st.buffer.erase(it);
       } else {
-        retransmit(host, st, *it, now);
+        retransmit(host, st, *it, now, retx_timeout_);
         ++it;
       }
     }
@@ -294,7 +297,7 @@ void ReliableLink::on_reverse_delivery(netsim::UploadChannel::Delivery&& d) {
       expire_entry(host, *it, /*evicted=*/false);
       st.buffer.erase(it);
     } else {
-      retransmit(host, st, *it, d.deliver_at);
+      retransmit(host, st, *it, d.deliver_at, retx_nack_);
     }
   }
 }
@@ -343,7 +346,11 @@ ReliableStats ReliableLink::stats() const {
     if (s.name == "umon_resilience_frames_sent_total") {
       out.frames_sent = v;
     } else if (s.name == "umon_resilience_frames_retransmitted_total") {
-      out.frames_retransmitted = v;
+      // One series per trigger: the total adds them.
+      out.frames_retransmitted += v;
+      const bool nack = !s.labels.empty() && s.labels[0].second == "nack";
+      (nack ? out.frames_retransmitted_nack
+            : out.frames_retransmitted_timeout) += v;
     } else if (s.name == "umon_resilience_frames_acked_total") {
       out.frames_acked = v;
     } else if (s.name == "umon_resilience_frames_expired_total") {

@@ -82,7 +82,9 @@ struct ReliableConfig {
 /// as CollectorStats: the registry is the source of truth).
 struct ReliableStats {
   std::uint64_t frames_sent = 0;
-  std::uint64_t frames_retransmitted = 0;
+  std::uint64_t frames_retransmitted = 0;  ///< nack + timeout
+  std::uint64_t frames_retransmitted_nack = 0;     ///< resent on a NACK
+  std::uint64_t frames_retransmitted_timeout = 0;  ///< resent at the RTO
   std::uint64_t frames_acked = 0;
   std::uint64_t frames_expired = 0;   ///< retry cap hit
   std::uint64_t frames_evicted = 0;   ///< retx buffer overflow
@@ -188,7 +190,9 @@ class ReliableLink {
     bool counted_settled = false;
   };
 
-  void retransmit(int host, SenderState& st, RetxEntry& e, Nanos now);
+  /// Resend `e`, counting it on `trigger` (retx_nack_ or retx_timeout_).
+  void retransmit(int host, SenderState& st, RetxEntry& e, Nanos now,
+                  telemetry::Counter* trigger);
   void expire_entry(int host, const RetxEntry& e, bool evicted);
   void release_entry(int host, const RetxEntry& e);
   void release_acked(int host, SenderState& st, const AckBody& body);
@@ -207,7 +211,9 @@ class ReliableLink {
 
   telemetry::MetricRegistry reg_;
   telemetry::Counter* frames_sent_;
-  telemetry::Counter* frames_retransmitted_;
+  /// umon_resilience_frames_retransmitted_total{trigger="nack"|"timeout"}
+  telemetry::Counter* retx_nack_;
+  telemetry::Counter* retx_timeout_;
   telemetry::Counter* frames_acked_;
   telemetry::Counter* frames_expired_;
   telemetry::Counter* frames_evicted_;

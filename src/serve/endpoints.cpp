@@ -256,19 +256,18 @@ HttpResponse Endpoints::get_query(const HttpRequest& req,
     return err(503, "no store attached (run with --store-dir)");
   }
 
-  // The head and the per-flow extent scan walk every segment index under
-  // the store mutex — miss-path work only. A cache hit must touch nothing
-  // beyond the fingerprint and the generation counter, or the scrape-heavy
-  // read path pays a full store scan per request.
+  // The head reads the store's flow count and last seal (O(1) each, miss
+  // path only): a cache hit touches nothing beyond the fingerprint and the
+  // generation counter.
   const auto live_head = [this]() {
     store::StoreHead head = store::make_head(
-        svc_.store_dir, svc_.store_rinfo, svc_.store->flows().size());
+        svc_.store_dir, svc_.store_rinfo, svc_.store->flow_count());
     head.last_sealed_epoch = svc_.store->last_sealed_epoch();
     return head;
   };
 
   if (list_flows) {
-    // The flow listing is never cached and walks every segment index —
+    // The flow listing is never cached and walks every flow's chunks —
     // always expensive, so it sheds under load.
     if (hint.shed_expensive) return shed_overloaded();
     const auto extents = store::flow_extents(*svc_.store);
@@ -283,15 +282,14 @@ HttpResponse Endpoints::get_query(const HttpRequest& req,
 
   store::Query q;
   if (!from_us || !to_us) {
-    // The default range needs an extent scan before the cache key can even
-    // be computed, so under load these shed outright; explicit-range
-    // queries below can still be answered from the cache.
+    // The default range reads the store before the cache key can even be
+    // computed, so under load these shed outright; explicit-range queries
+    // below can still be answered from the cache.
     if (hint.shed_expensive) return shed_overloaded();
-    // Default range = union of every flow's extent (the umon_query
-    // behavior); only this path needs the extent scan.
-    WindowId lo = 0, hi = 0;
-    if (!store::flow_extent_union(store::flow_extents(*svc_.store), lo,
-                                  hi)) {
+    // Default range = the store's curve extent, the union of every flow's
+    // extent (the umon_query behavior).
+    WindowId first = 0, last = 0;
+    if (!svc_.store->curve_extent(first, last)) {
       std::ostringstream oss;
       if (csv) {
         store::write_query_csv(oss, store::QueryResult{});
@@ -300,8 +298,8 @@ HttpResponse Endpoints::get_query(const HttpRequest& req,
       }
       return HttpResponse{200, content_type, oss.str(), false, {}};
     }
-    q.from = lo;
-    q.to = hi;
+    q.from = first;
+    q.to = last + 1;
   }
   if (from_us) q.from = window_of(static_cast<Nanos>(*from_us * 1e3));
   if (to_us) q.to = window_of(static_cast<Nanos>(*to_us * 1e3)) + 1;
@@ -330,11 +328,9 @@ HttpResponse Endpoints::get_query(const HttpRequest& req,
   if (from_us && to_us) {
     // umon_query parity: a store with no curve data answers with the empty
     // head even when the range is explicit. The default-range branch above
-    // already proved an extent exists, so only this path re-checks — on
-    // the miss path, where the engine scan dominates anyway.
-    WindowId lo = 0, hi = 0;
-    if (!store::flow_extent_union(store::flow_extents(*svc_.store), lo,
-                                  hi)) {
+    // already proved an extent exists, so only this path re-checks.
+    WindowId first = 0, last = 0;
+    if (!svc_.store->curve_extent(first, last)) {
       std::ostringstream oss;
       if (csv) {
         store::write_query_csv(oss, store::QueryResult{});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/stats.hpp"
 #include "obs/prof.hpp"
@@ -85,54 +86,42 @@ QueryResult QueryEngine::execute(const Query& q) const {
   result.from = from;
   result.to = to;
 
-  std::vector<FlowKey> selected;
-  if (q.flows.empty()) {
-    selected = store_.flows();
-  } else {
-    selected = q.flows;
-  }
-  if (q.src_host.has_value()) {
-    selected.erase(std::remove_if(selected.begin(), selected.end(),
-                                  [&](const FlowKey& f) {
-                                    return f.src_ip != *q.src_host;
-                                  }),
-                   selected.end());
-  }
-
-  // Per-window totals across the matched flows over [from, to).
+  // Per-window totals across the matched flows over [from, to), read under
+  // one store lock in the selection's flow order.
   const std::size_t n = static_cast<std::size_t>(to - from);
   std::vector<double> totals(n, 0.0);
-  for (const FlowKey& flow : selected) {
-    bool touched = false;
-    store_.visit_flow(flow, from, to, [&](const ChunkView& chunk) {
-      touched = true;
-      if (chunk.kind == RecordKind::kSparseCurve) {
-        for (const auto& [w, v] : chunk.sparse->windows) {
-          if (w < from || w >= to) continue;
-          totals[static_cast<std::size_t>(w - from)] += v;
-        }
-      } else if (chunk.kind == RecordKind::kCoeffCurve) {
-        // On-demand inverse Haar at the chunk's native resolution; only
-        // the overlap with the query range is folded in.
-        const CoeffCurveRecord& rec = *chunk.coeff;
-        const std::vector<double> dense = wavelet::reconstruct(
-            rec.approx, rec.details, rec.length, rec.levels);
-        const WindowId lo = std::max(from, rec.w0);
-        const WindowId hi =
-            std::min(to, rec.w0 + static_cast<WindowId>(rec.length));
-        for (WindowId w = lo; w < hi; ++w) {
-          totals[static_cast<std::size_t>(w - from)] +=
-              dense[static_cast<std::size_t>(w - rec.w0)];
-        }
+  std::size_t last_flow = SIZE_MAX;
+  store_.visit_flows(q.flows, q.src_host, from, to,
+                     [&](std::size_t flow, const ChunkView& chunk) {
+    if (flow != last_flow) {
+      last_flow = flow;
+      ++result.flows_matched;
+    }
+    if (chunk.kind == RecordKind::kSparseCurve) {
+      for (const auto& [w, v] : chunk.sparse->windows) {
+        if (w < from || w >= to) continue;
+        totals[static_cast<std::size_t>(w - from)] += v;
       }
-    });
-    if (touched) ++result.flows_matched;
-  }
+    } else if (chunk.kind == RecordKind::kCoeffCurve) {
+      // On-demand inverse Haar at the chunk's native resolution; only the
+      // overlap with the query range is folded in.
+      const CoeffCurveRecord& rec = *chunk.coeff;
+      const std::vector<double> dense = wavelet::reconstruct(
+          rec.approx, rec.details, rec.length, rec.levels);
+      const WindowId lo = std::max(from, rec.w0);
+      const WindowId hi =
+          std::min(to, rec.w0 + static_cast<WindowId>(rec.length));
+      for (WindowId w = lo; w < hi; ++w) {
+        totals[static_cast<std::size_t>(w - from)] +=
+            dense[static_cast<std::size_t>(w - rec.w0)];
+      }
+    }
+  });
 
   // Group into buckets of `resolution` windows (last one may be partial).
   const std::size_t buckets = (n + q.resolution - 1) / q.resolution;
   result.series.resize(buckets, 0.0);
-  result.confidence.resize(buckets, analyzer::WindowConfidence::kCovered);
+  result.confidence = store_.bucket_confidence(from, to, q.resolution);
   std::vector<double> scratch;
   for (std::size_t b = 0; b < buckets; ++b) {
     const std::size_t lo = b * q.resolution;
@@ -163,8 +152,6 @@ QueryResult QueryEngine::execute(const Query& q) const {
         break;
       }
     }
-    result.confidence[b] = store_.worst_confidence(
-        from + static_cast<WindowId>(lo), from + static_cast<WindowId>(hi));
   }
   return result;
 }

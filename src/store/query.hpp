@@ -9,8 +9,9 @@
 // ahead of the query.
 //
 // Results are memoized in a small LRU keyed on (query fingerprint, store
-// generation): any seal, roll, or compaction bumps the generation, so a
-// cached entry can never serve stale bytes — it simply stops matching.
+// generation): a seal, roll, compaction or quarantine bumps the generation
+// and old entries stop matching. Appends do not bump it, so an entry that
+// read the unsealed tail can go stale within one generation.
 #pragma once
 
 #include <cstdint>

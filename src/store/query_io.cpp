@@ -48,17 +48,6 @@ std::vector<FlowExtentRow> flow_extents(Store& store) {
   return rows;
 }
 
-bool flow_extent_union(const std::vector<FlowExtentRow>& rows, WindowId& lo,
-                       WindowId& hi) {
-  bool have = false;
-  for (const FlowExtentRow& row : rows) {
-    if (!have || row.first < lo) lo = row.first;
-    if (!have || row.last + 1 > hi) hi = row.last + 1;
-    have = true;
-  }
-  return have;
-}
-
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());

@@ -57,11 +57,6 @@ struct FlowExtentRow {
 /// Every stored flow with a non-empty extent, in the store's flow order.
 [[nodiscard]] std::vector<FlowExtentRow> flow_extents(Store& store);
 
-/// Union of the per-flow extents as a half-open window range; false when
-/// the store holds no curve data.
-[[nodiscard]] bool flow_extent_union(const std::vector<FlowExtentRow>& rows,
-                                     WindowId& lo, WindowId& hi);
-
 /// Minimal JSON string escape (quotes, backslashes, control bytes).
 [[nodiscard]] std::string json_escape(const std::string& s);
 

@@ -543,6 +543,41 @@ TEST(ReliableLink, NackFastRetransmitBeatsRto) {
   EXPECT_TRUE(h.link->all_settled());
 }
 
+TEST(ReliableLink, RetransmitsAreCountedByTrigger) {
+  const auto run = [](const ReliableConfig& cfg, int drop) {
+    LinkHarness h{cfg};
+    int sends = 0;
+    h.forward->set_fault_hook(
+        [&sends, drop](int, Nanos, std::vector<std::uint8_t>&) {
+          netsim::SendFault f;
+          f.drop = sends++ == drop;
+          return f;
+        });
+    for (std::uint32_t e = 0; e < 3; ++e) {
+      h.link->send(0, e, bytes({static_cast<int>(e)}),
+                   static_cast<Nanos>(e) * 200 * kMicro);
+    }
+    h.settle(600 * kMicro);
+    EXPECT_EQ(h.delivered.size(), 3u);
+    const auto st = h.link->stats();
+    EXPECT_EQ(st.frames_retransmitted,
+              st.frames_retransmitted_nack + st.frames_retransmitted_timeout);
+    return st;
+  };
+  // Tail loss: no later frame reaches the receiver, so nothing NACKs the
+  // hole and only the RTO resends it.
+  const ReliableStats tail = run(ReliableConfig{}, /*drop=*/2);
+  EXPECT_GE(tail.frames_retransmitted_timeout, 1u);
+  EXPECT_EQ(tail.frames_retransmitted_nack, 0u);
+  // Mid-stream loss with an RTO beyond the horizon: the next frame's ack
+  // NACKs the hole.
+  ReliableConfig slow_rto;
+  slow_rto.base_rto = 10'000 * kMilli;
+  const ReliableStats mid = run(slow_rto, /*drop=*/1);
+  EXPECT_GE(mid.frames_retransmitted_nack, 1u);
+  EXPECT_EQ(mid.frames_retransmitted_timeout, 0u);
+}
+
 TEST(ReliableLink, DuplicatesAreSuppressed) {
   LinkHarness h{ReliableConfig{}};
   h.forward->set_fault_hook([](int, Nanos, std::vector<std::uint8_t>&) {

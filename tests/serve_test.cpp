@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -72,11 +73,15 @@ std::string recv_to_eof(int fd) {
 }
 
 /// Read until `needle` shows up in the accumulated bytes (keep-alive and
-/// SSE reads, where EOF never comes).
+/// SSE reads, where EOF never comes), for at most 10 s: SSE keepalive
+/// comments reset the per-recv timeout, so it alone cannot end the wait.
 std::string recv_until(int fd, std::string_view needle) {
   std::string out;
   char buf[4096];
-  while (out.find(needle) == std::string::npos) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (out.find(needle) == std::string::npos &&
+         std::chrono::steady_clock::now() < deadline) {
     const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
     if (n <= 0) break;
     out.append(buf, static_cast<std::size_t>(n));
@@ -530,23 +535,44 @@ TEST(ServeOverload, SseLaggardIsClosedAtGlobalWatermark) {
   const std::string payload(8192, 'x');
   for (int i = 0; i < 1500; ++i) server.broadcast_sse("tick", payload);
 
-  // The laggard must be disconnected, not buffered unboundedly: drain
-  // whatever the kernel already accepted, then hit EOF. The deadline (plus
-  // the 5 s per-recv timeout) bounds the test if the close never comes.
+  // Stay a laggard until the server acts. The watermark is checked after
+  // each fan-out batch; a subscriber that reads while the server is still
+  // fanning the flood out keeps the backlog under the watermark at every
+  // check and is rightly never closed. Reading nothing until the close
+  // leaves at least the flood minus the kernel's socket buffers (4 MiB
+  // send cap on Linux loopback) queued server-side at the last fan-out.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  bool eof = false;
+  while (counter_value(server.registry(),
+                       "umon_serve_sse_laggards_closed_total") == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // The laggard must be disconnected, not buffered unboundedly: drain
+  // whatever the kernel already accepted, then hit EOF. The server closed
+  // with megabytes still unsent, and the kernel may reset such an orphaned
+  // socket (TCP memory pressure, orphan limits) instead of sending FIN: a
+  // reset is a disconnect too. The deadline (plus the 5 s per-recv
+  // timeout) bounds the test if the close never comes.
+  bool disconnected = false;
+  int recv_errno = 0;
   char buf[16 * 1024];
   while (std::chrono::steady_clock::now() < deadline) {
     const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
     if (n == 0) {
-      eof = true;
+      disconnected = true;
       break;
     }
-    if (n < 0) break;  // recv timeout: no close and no data — give up
+    if (n < 0) {
+      recv_errno = errno;
+      disconnected = recv_errno == ECONNRESET;
+      break;  // reset, or recv timeout: no close and no data
+    }
   }
   ::close(fd);
-  EXPECT_TRUE(eof) << "laggard was never disconnected";
+  EXPECT_TRUE(disconnected) << "laggard was never disconnected (recv errno "
+                            << recv_errno << ")";
   EXPECT_GT(counter_value(server.registry(),
                           "umon_serve_sse_laggards_closed_total"),
             0u);
@@ -600,6 +626,7 @@ TEST(ServeConcurrency, PublishScrapeAndStreamRace) {
   // Relaxed on purpose (SA004 relaxed allowlist): the joins below publish; the
   // flag only nudges loops to exit and the counter is read after joining.
   std::atomic<bool> stop{false};
+  std::atomic<bool> streamed{false};
   std::atomic<int> bad_responses{0};
 
   // Publisher: hammers the cross-thread surface the driver uses per tick.
@@ -619,6 +646,7 @@ TEST(ServeConcurrency, PublishScrapeAndStreamRace) {
     const int fd = dial(server.port());
     if (fd < 0) {
       bad_responses.fetch_add(1, std::memory_order_relaxed);
+      streamed.store(true, std::memory_order_relaxed);
       return;
     }
     send_all(fd, get_request("/api/v1/stream", /*keep_alive=*/true));
@@ -626,6 +654,7 @@ TEST(ServeConcurrency, PublishScrapeAndStreamRace) {
     if (got.find("event: tick") == std::string::npos) {
       bad_responses.fetch_add(1, std::memory_order_relaxed);
     }
+    streamed.store(true, std::memory_order_relaxed);
     while (!stop.load(std::memory_order_relaxed)) {
       char buf[4096];
       const ssize_t n = ::recv(fd, buf, sizeof buf, MSG_DONTWAIT);
@@ -651,6 +680,12 @@ TEST(ServeConcurrency, PublishScrapeAndStreamRace) {
     });
   }
   for (auto& t : workers) t.join();
+  // Keep publishing until the subscriber has its first tick: a subscriber
+  // that registers after the last broadcast would otherwise wait on
+  // keepalives alone.
+  while (!streamed.load(std::memory_order_relaxed)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   stop.store(true, std::memory_order_relaxed);
   publisher.join();
   subscriber.join();
