@@ -16,12 +16,13 @@
 // all probes alike instead of on whichever ran last; each probe scores the
 // median of per-round medians over chunks.
 //
-// Pipeline legs. umon_sim's tick loop — per-host WaveSketchFull, HostUplink
-// and ReliableLink over a forward and a reverse UploadChannel, a 2-shard
-// collector into the analyzer, settle_telemetry() every tick — on Hadoop at
-// 15% load, seed 7, 10 ms of sim time and a 500 us tick. The wire is
-// lossless and jitter-free, so the reliable leg never retransmits and its
-// delta is the protocol's fixed per-frame cost. The bare leg runs the link
+// Pipeline legs. umon_sim's reporting loop, umon::pipeline — per-host
+// WaveSketchFull and HostUplink, the ReliableLink over the upload channel
+// (plus the ack channel on the reliable leg), a 2-shard collector into the
+// analyzer, settle_telemetry() every tick — on Hadoop at 15% load, seed 7,
+// 10 ms of sim time and a 500 us tick. The wire is lossless and
+// jitter-free, so the reliable leg never retransmits and its delta is the
+// protocol's fixed per-frame cost. The bare leg runs the link
 // in passthrough mode with no health monitor and no profiler; each feature
 // leg switches on exactly one of health monitoring (budget 2%), the cycle
 // profiler (2%) or the reliable uplink (10%). Each of 11 rounds runs every
@@ -35,16 +36,10 @@
 #include <string>
 #include <vector>
 
-#include "analyzer/analyzer.hpp"
 #include "bench/support/paired.hpp"
-#include "collector/collector.hpp"
-#include "collector/uplink.hpp"
-#include "health/health.hpp"
 #include "netsim/network.hpp"
-#include "netsim/upload_channel.hpp"
 #include "obs/prof.hpp"
-#include "resilience/reliable.hpp"
-#include "sketch/wavesketch_full.hpp"
+#include "pipeline/driver.hpp"
 #include "telemetry/log.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/tracing.hpp"
@@ -196,65 +191,11 @@ double run_leg(Leg leg, Nanos duration) {
   cfg.seed = 7;
   auto net = netsim::Network::fat_tree(cfg, 4);
 
-  sketch::WaveSketchParams sp;
-  sp.depth = 3;
-  sp.width = 256;
-  sp.levels = 8;
-  sp.k = 64;
-  std::vector<std::unique_ptr<sketch::WaveSketchFull>> sketches;
-  for (int h = 0; h < net->host_count(); ++h) {
-    sketches.push_back(std::make_unique<sketch::WaveSketchFull>(sp));
-  }
-
-  analyzer::Analyzer an;
-  collector::CollectorConfig ccfg;
-  ccfg.shards = 2;
-  collector::Collector col(ccfg, an);
-
-  netsim::UploadChannelConfig ucfg;
-  ucfg.seed = 7;
-  netsim::UploadChannel forward(ucfg, nullptr);
-  netsim::UploadChannelConfig rcfg = ucfg;
-  rcfg.seed = 7 ^ 0xAC4BAC4ULL;
-  netsim::UploadChannel reverse(rcfg, nullptr);
-  resilience::ReliableConfig lcfg;
-  lcfg.enabled = leg == Leg::kReliable;
-  resilience::ReliableLink link(lcfg, forward, &reverse);
-  link.set_deliver_hook([&col](int host, std::uint32_t epoch,
-                               std::vector<std::uint8_t>&& payload) {
-    (void)col.submit_report_payload(host, epoch, std::move(payload));
-  });
-  forward.set_sink([&link](netsim::UploadChannel::Delivery&& d) {
-    link.on_forward_delivery(std::move(d));
-  });
-  reverse.set_sink([&link](netsim::UploadChannel::Delivery&& d) {
-    link.on_reverse_delivery(std::move(d));
-  });
-
-  std::unique_ptr<health::HealthMonitor> mon;
-  if (leg == Leg::kHealth) {
-    mon = std::make_unique<health::HealthMonitor>();
-    mon->add_registry(&telemetry::MetricRegistry::global());
-    mon->add_registry(&col.telemetry_registry());
-    mon->add_registry(&link.telemetry_registry());
-    mon->set_analyzer(&an);
-    col.set_decode_event_hook([m = mon.get()](Nanos t) {
-      m->watermarks().note(health::Stage::kCollectorDecode, t);
-    });
-    col.set_curve_event_hook([m = mon.get()](Nanos t) {
-      m->watermarks().note(health::Stage::kAnalyzerCurve, t);
-    });
-  }
-
-  net->set_host_tx_hook([&, m = mon.get()](int host, const PacketRecord& r) {
-    sketches[static_cast<std::size_t>(host)]->update(
-        r.flow, r.timestamp, static_cast<Count>(r.size));
-    if (m != nullptr) {
-      m->watermarks().note(health::Stage::kPacketEvent, r.timestamp);
-      m->probe().observe(r.flow, r.timestamp, r.size);
-    }
-  });
-
+  pipeline::PipelineConfig pcfg;
+  pcfg.hosts = net->host_count();
+  pcfg.tick = kTick;
+  pcfg.uplink_reliable = leg == Leg::kReliable;
+  pcfg.health = leg == Leg::kHealth;
   workload::WorkloadParams wp;
   wp.hosts = net->host_count();
   wp.load = 0.15;
@@ -263,64 +204,29 @@ double run_leg(Leg leg, Nanos duration) {
   workload::Workload w =
       workload::generate(workload::WorkloadKind::kHadoop, wp);
   workload::install(w, *net);
-
-  col.start();
-  std::vector<collector::HostUplink> uplinks;
-  for (int h = 0; h < net->host_count(); ++h) {
-    uplinks.emplace_back(h, 64);
-  }
-  struct PendingSeal {
-    int host;
-    std::uint32_t epoch;
-    std::uint32_t end_seq;
-  };
-  std::vector<PendingSeal> awaiting;
   const Nanos horizon = duration + 5 * kMilli;
 
   // The profiler's ~2 ms calibration spin is a one-time startup cost, not a
   // per-run tax, so it stays outside the timed region.
   if (leg == Leg::kProf) obs::prof_enable();
-  if (mon) mon->prime(0);
+  // No store and the default alarm rules: nothing here can fail to open.
+  const std::unique_ptr<pipeline::Pipeline> p =
+      pipeline::Pipeline::create(pcfg, nullptr);
+  net->set_host_tx_hook([pl = p.get()](int host, const PacketRecord& r) {
+    pl->on_packet(host, r);
+  });
 
   const std::uint64_t t0 = telemetry::monotonic_ns();
-  for (Nanos t = kTick; ; t += kTick) {
-    if (t > horizon) t = horizon;
-    net->run_until(t);
+  const Nanos t = p->run(horizon, [&](Nanos now) {
+    net->run_until(now);
     net->settle_telemetry();
-    forward.advance_to(t);
-    reverse.advance_to(t);
-    link.tick(t);
-    col.drain();
-    for (const PendingSeal& s : awaiting) {
-      col.seal_epoch(s.host, s.epoch, s.end_seq);
-    }
-    awaiting.clear();
-    for (int h = 0; h < net->host_count(); ++h) {
-      auto up = uplinks[static_cast<std::size_t>(h)].flush_epoch(
-          *sketches[static_cast<std::size_t>(h)]);
-      if (mon) mon->watermarks().note(health::Stage::kSketchSeal, t);
-      for (auto& p : up.payloads) {
-        link.send(h, up.epoch, std::move(p.bytes), t);
-      }
-      awaiting.push_back({h, up.epoch, up.end_seq});
-    }
-    col.drain();
-    if (mon) mon->tick(t);
-    if (t >= horizon) break;
-  }
+  });
   net->finish();
-  forward.flush();
-  reverse.flush();
-  link.tick(horizon + kTick);
-  for (const PendingSeal& s : awaiting) {
-    col.seal_epoch(s.host, s.epoch, s.end_seq);
-  }
-  col.stop();
-  if (mon) mon->tick(horizon + kTick);
+  p->finish(t);
   const double elapsed = static_cast<double>(telemetry::monotonic_ns() - t0);
   if (leg == Leg::kProf) obs::prof_disable();
 
-  const auto st = link.stats();
+  const auto st = p->link().stats();
   if (st.epochs_unrecovered != 0 || st.frames_retransmitted != 0) {
     std::fprintf(stderr,
                  "lossless reliable run lost data: %llu unrecovered, "

@@ -8,8 +8,8 @@
 //   append   write-through append + per-epoch fsync seal of every curve
 //            fragment (the umon_sim --store-dir hot path) → payload MB/s
 //   query    reopen the directory read-only with a cold page cache and run
-//            a store-wide grouped query → cold latency; replay it twice
-//            more for the engine-cache and warm-page-cache latencies
+//            a store-wide grouped query → cold latency; replay it once
+//            more for the warm-page-cache latency
 //   scrub    one full CRC re-verification of every sealed record against
 //            the raw disk bytes (the background scrubber's whole-store
 //            pass) → latency and raw scan MB/s
@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
 
   // --- phase 2: query -------------------------------------------------------
   const WindowId full_to = static_cast<WindowId>(epochs) * 64;
-  double cold_us = 0, cached_us = 0, warm_us = 0;
+  double cold_us = 0, warm_us = 0;
   std::size_t series_len = 0;
   {
     auto st = store::Store::open(cfg, nullptr, /*writable=*/false);
@@ -161,12 +161,6 @@ int main(int argc, char** argv) {
     cold_us = now_us() - t0;
     series_len = r.series.size();
 
-    t0 = now_us();
-    r = engine.run(q);
-    cached_us = now_us() - t0;
-    if (!r.cache_hit) std::fprintf(stderr, "warning: expected cache hit\n");
-
-    engine.clear_cache();
     t0 = now_us();
     r = engine.run(q);
     warm_us = now_us() - t0;
@@ -265,9 +259,9 @@ int main(int argc, char** argv) {
               append_mb, append_us / 1e3, append_mbs,
               static_cast<unsigned long long>(write_stats.appends),
               static_cast<unsigned long long>(write_stats.epochs_sealed));
-  std::printf("  query:       cold %.1f us, engine-cached %.1f us, "
-              "warm-pages %.1f us (%zu buckets)\n",
-              cold_us, cached_us, warm_us, series_len);
+  std::printf("  query:       cold %.1f us, warm-pages %.1f us "
+              "(%zu buckets)\n",
+              cold_us, warm_us, series_len);
   std::printf("  scrub:       %zu records re-verified in %.1f us "
               "(%.1f MB/s raw)\n",
               scrub_records, scrub_us, scrub_mbs);
@@ -299,7 +293,6 @@ int main(int argc, char** argv) {
   snap.set("append_mbs", append_mbs);
   snap.set("append_records", write_stats.appends);
   snap.set("cold_query_us", cold_us);
-  snap.set("cached_query_us", cached_us);
   snap.set("warm_query_us", warm_us);
   snap.set("scrub_us", scrub_us);
   snap.set("scrub_mbs", scrub_mbs);

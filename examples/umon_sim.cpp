@@ -1,33 +1,24 @@
 // umon_sim: command-line driver for full uMon experiments.
 //
-// Runs a workload on the fat-tree simulator with uFlow (WaveSketch at every
-// host) and uEvent (CE match + PSN sampling + mirror at every switch)
-// attached, then prints the analyzer's view: accuracy, bandwidth, events.
+// Runs a workload on the fat-tree simulator (DCQCN, no PFC) with uFlow
+// (WaveSketch d=3, w=256, K=64 at every host) and uEvent (CE match + PSN
+// sampling + mirror at every switch) attached, then prints the analyzer's
+// view: accuracy, bandwidth, events.
 //
-// Usage:
-//   umon_sim [--workload websearch|hadoop] [--load 0.15] [--ms 20]
-//            [--sample-bits 6] [--k 64] [--width 256] [--depth 3]
-//            [--pfc] [--dctcp] [--seed 7]
-//            [--collector-shards N] [--report-loss F]
-//            [--metrics-out FILE] [--trace-out FILE] [--log-level LEVEL]
-//            [--health-out FILE] [--health-interval US] [--health-alarms R]
-//            [--fault-plan FILE] [--uplink-reliable] [--uplink-retx-buffer N]
-//            [--gap-fill] [--require-recovered]
-//            [--store-dir DIR] [--store-tier-budget K]
-//            [--disk-fault-plan FILE] [--scrub-interval N]
-//            [--scrub-audit FILE]
-//            [--prof-out FILE] [--lineage-out FILE]
-//            [--serve-port N] [--serve-port-file FILE] [--serve-linger S]
+// `umon_sim --help` prints the flags. --load must be in (0, 1], --ms above
+// 0, --sample-bits in 0..31 (mirror 1 in 2^N CE-marked packets) and
+// --report-loss in [0, 1]; an out-of-range value exits 2 before anything
+// runs.
 //
-// Every run streams the host sketches to the analyzer one measurement
-// period at a time, while the workload runs. The simulation advances in
-// ticks of --health-interval microseconds (the reporting period; default
-// 500, min 100). Each tick flushes one epoch from every host through the
-// per-host uplink encode, the simulated upload channel (--report-loss drops
-// payloads in transit), the ReliableLink (passthrough unless
-// --uplink-reliable), and the sharded collector (--collector-shards,
-// default 2). An epoch that loses reports to sequence gaps has its analyzer
-// windows flagged lost, so missing data never reads back as idle.
+// This file owns the packet source (the fat tree and the workload) and
+// advances it one reporting period at a time (--health-interval
+// microseconds, default 500, min 100); umon::pipeline (src/pipeline) flushes
+// one epoch per host per period through the uplink, the simulated upload
+// channel (--report-loss drops payloads in transit), the ReliableLink
+// (passthrough unless --uplink-reliable), and the sharded collector
+// (--collector-shards, default 2) into the analyzer. An epoch that loses
+// reports to sequence gaps has its analyzer windows flagged lost, so
+// missing data never reads back as idle.
 //
 // --metrics-out writes a Prometheus text snapshot of the pipeline's own
 // telemetry; --trace-out writes Chrome trace_event JSON (open it in
@@ -121,9 +112,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -134,24 +123,14 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/tracing.hpp"
 
-#include "analyzer/analyzer.hpp"
 #include "analyzer/groundtruth.hpp"
 #include "analyzer/metrics.hpp"
-#include "collector/collector.hpp"
-#include "collector/uplink.hpp"
-#include "health/health.hpp"
 #include "netsim/network.hpp"
-#include "netsim/upload_channel.hpp"
-#include "obs/lineage.hpp"
 #include "obs/prof.hpp"
-#include "resilience/fault_plan.hpp"
-#include "resilience/reliable.hpp"
+#include "pipeline/driver.hpp"
 #include "serve/endpoints.hpp"
 #include "serve/server.hpp"
-#include "sketch/wavesketch_full.hpp"
 #include "store/io.hpp"
-#include "store/store.hpp"
-#include "uevent/acl.hpp"
 #include "uevent/detector.hpp"
 #include "workload/generator.hpp"
 
@@ -164,29 +143,15 @@ struct Options {
   double load = 0.15;
   Nanos duration = 20 * kMilli;
   int sample_bits = 6;
-  std::size_t k = 64;
-  std::uint32_t width = 256;
-  int depth = 3;
-  bool pfc = false;
-  bool dctcp = false;
-  std::uint64_t seed = 7;
-  int collector_shards = 2;
-  double report_loss = 0.0;
+  /// The seed, shard, loss, tick, uplink, store, health and lineage flags.
+  pipeline::PipelineConfig pipe;
   std::string metrics_out;   ///< Prometheus text snapshot path ("" = off)
   std::string trace_out;     ///< Chrome trace JSON path ("" = off)
   std::string log_level;     ///< "" = leave logger at its default (warn)
   std::string health_out;    ///< health JSONL path ("" = health off)
-  Nanos health_interval = 500 * kMicro;  ///< tick = reporting period
-  std::string health_alarms;  ///< "" = HealthMonitor::default_alarms()
-  std::string fault_plan;     ///< chaos schedule path ("" = no injection)
-  bool uplink_reliable = false;
-  std::size_t uplink_retx_buffer = 1024;
-  bool gap_fill = false;
+  std::string fault_plan;    ///< chaos schedule path ("" = no injection)
   bool require_recovered = false;  ///< exit 1 on any unrecovered epoch
-  std::string store_dir;           ///< durable segment store ("" = off)
-  std::size_t store_tier_budget = 64;
   std::string disk_fault_plan;  ///< store I/O chaos schedule ("" = off)
-  int scrub_interval = 0;       ///< scrub every N ticks (0 = end-only)
   std::string scrub_audit;      ///< scrub findings JSONL path ("" = off)
   std::string prof_out;     ///< folded-stack output path ("" = profiler off)
   std::string lineage_out;  ///< lineage audit JSONL path ("" = lineage off)
@@ -198,12 +163,10 @@ struct Options {
   [[nodiscard]] bool telemetry_requested() const {
     return !metrics_out.empty() || !trace_out.empty();
   }
-  [[nodiscard]] bool health_requested() const { return !health_out.empty(); }
-  [[nodiscard]] bool store_requested() const { return !store_dir.empty(); }
+  [[nodiscard]] bool store_requested() const { return !pipe.store.dir.empty(); }
   [[nodiscard]] bool scrub_requested() const {
-    return scrub_interval > 0 || !disk_fault_plan.empty();
+    return pipe.scrub_interval > 0 || !disk_fault_plan.empty();
   }
-  [[nodiscard]] bool lineage_requested() const { return !lineage_out.empty(); }
 };
 
 bool parse(int argc, char** argv, Options& opt) {
@@ -228,30 +191,39 @@ bool parse(int argc, char** argv, Options& opt) {
       }
     } else if (arg == "--load") {
       opt.load = std::atof(next("--load"));
+      if (!(opt.load > 0 && opt.load <= 1)) {
+        std::fprintf(stderr, "--load must be in (0, 1]\n");
+        return false;
+      }
     } else if (arg == "--ms") {
-      opt.duration = static_cast<Nanos>(std::atof(next("--ms")) * 1e6);
+      const double ms = std::atof(next("--ms"));
+      // Checked before the conversion: a NaN or negative duration would
+      // otherwise run an empty simulation.
+      if (!(ms > 0)) {
+        std::fprintf(stderr, "--ms must be above 0\n");
+        return false;
+      }
+      opt.duration = static_cast<Nanos>(ms * 1e6);
     } else if (arg == "--sample-bits") {
       opt.sample_bits = std::atoi(next("--sample-bits"));
-    } else if (arg == "--k") {
-      opt.k = static_cast<std::size_t>(std::atoi(next("--k")));
-    } else if (arg == "--width") {
-      opt.width = static_cast<std::uint32_t>(std::atoi(next("--width")));
-    } else if (arg == "--depth") {
-      opt.depth = std::atoi(next("--depth"));
-    } else if (arg == "--pfc") {
-      opt.pfc = true;
-    } else if (arg == "--dctcp") {
-      opt.dctcp = true;
+      if (opt.sample_bits < 0 || opt.sample_bits > 31) {
+        std::fprintf(stderr, "--sample-bits must be 0..31\n");
+        return false;
+      }
     } else if (arg == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
+      opt.pipe.seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
     } else if (arg == "--collector-shards") {
-      opt.collector_shards = std::atoi(next("--collector-shards"));
-      if (opt.collector_shards < 1) {
+      opt.pipe.collector_shards = std::atoi(next("--collector-shards"));
+      if (opt.pipe.collector_shards < 1) {
         std::fprintf(stderr, "--collector-shards must be at least 1\n");
         return false;
       }
     } else if (arg == "--report-loss") {
-      opt.report_loss = std::atof(next("--report-loss"));
+      opt.pipe.report_loss = std::atof(next("--report-loss"));
+      if (!(opt.pipe.report_loss >= 0 && opt.pipe.report_loss <= 1)) {
+        std::fprintf(stderr, "--report-loss must be in [0, 1]\n");
+        return false;
+      }
     } else if (arg == "--metrics-out") {
       opt.metrics_out = next("--metrics-out");
     } else if (arg == "--trace-out") {
@@ -260,45 +232,47 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.log_level = next("--log-level");
     } else if (arg == "--health-out") {
       opt.health_out = next("--health-out");
+      opt.pipe.health = true;
     } else if (arg == "--health-interval") {
-      opt.health_interval =
+      opt.pipe.tick =
           static_cast<Nanos>(std::atof(next("--health-interval"))) * kMicro;
       // The epoch pipeline seals one tick late; the tick must cover the
       // upload channel's base delay + jitter (50 + 20 us) so every payload
       // of epoch N has landed before the N+1 tick seals it.
-      if (opt.health_interval < 100 * kMicro) {
-        opt.health_interval = 100 * kMicro;
+      if (opt.pipe.tick < 100 * kMicro) {
+        opt.pipe.tick = 100 * kMicro;
       }
     } else if (arg == "--health-alarms") {
-      opt.health_alarms = next("--health-alarms");
+      opt.pipe.health_alarms = next("--health-alarms");
     } else if (arg == "--fault-plan") {
       opt.fault_plan = next("--fault-plan");
     } else if (arg == "--uplink-reliable") {
-      opt.uplink_reliable = true;
+      opt.pipe.uplink_reliable = true;
     } else if (arg == "--uplink-retx-buffer") {
-      opt.uplink_retx_buffer =
+      opt.pipe.uplink_retx_buffer =
           static_cast<std::size_t>(std::atoll(next("--uplink-retx-buffer")));
     } else if (arg == "--gap-fill") {
-      opt.gap_fill = true;
+      opt.pipe.gap_fill = true;
     } else if (arg == "--require-recovered") {
       opt.require_recovered = true;
     } else if (arg == "--store-dir") {
-      opt.store_dir = next("--store-dir");
+      opt.pipe.store.dir = next("--store-dir");
     } else if (arg == "--store-tier-budget") {
-      opt.store_tier_budget =
+      opt.pipe.store.tier_budget =
           static_cast<std::size_t>(std::atoll(next("--store-tier-budget")));
-      if (opt.store_tier_budget < 4) opt.store_tier_budget = 4;
+      if (opt.pipe.store.tier_budget < 4) opt.pipe.store.tier_budget = 4;
     } else if (arg == "--disk-fault-plan") {
       opt.disk_fault_plan = next("--disk-fault-plan");
     } else if (arg == "--scrub-interval") {
-      opt.scrub_interval = std::atoi(next("--scrub-interval"));
-      if (opt.scrub_interval < 0) opt.scrub_interval = 0;
+      opt.pipe.scrub_interval = std::atoi(next("--scrub-interval"));
+      if (opt.pipe.scrub_interval < 0) opt.pipe.scrub_interval = 0;
     } else if (arg == "--scrub-audit") {
       opt.scrub_audit = next("--scrub-audit");
     } else if (arg == "--prof-out") {
       opt.prof_out = next("--prof-out");
     } else if (arg == "--lineage-out") {
       opt.lineage_out = next("--lineage-out");
+      opt.pipe.lineage = true;
     } else if (arg == "--serve-port") {
       opt.serve_port = std::atoi(next("--serve-port"));
       if (opt.serve_port < 0 || opt.serve_port > 0xFFFF) {
@@ -326,8 +300,7 @@ int main(int argc, char** argv) {
   if (!parse(argc, argv, opt)) {
     std::printf(
         "usage: umon_sim [--workload websearch|hadoop] [--load F] [--ms N]\n"
-        "                [--sample-bits N] [--k N] [--width N] [--depth N]\n"
-        "                [--pfc] [--dctcp] [--seed N]\n"
+        "                [--sample-bits N] [--seed N]\n"
         "                [--collector-shards N] [--report-loss F]\n"
         "                [--metrics-out FILE] [--trace-out FILE]\n"
         "                [--log-level trace|debug|info|warn|error|off]\n"
@@ -342,6 +315,8 @@ int main(int argc, char** argv) {
         "                [--prof-out FILE] [--lineage-out FILE]\n"
         "                [--serve-port N] [--serve-port-file FILE]\n"
         "                [--serve-linger SECONDS]\n"
+        "--load F is in (0, 1]; --ms N is above 0; --sample-bits N is 0..31\n"
+        "(mirror 1 in 2^N CE-marked packets); --report-loss F is in [0, 1].\n"
         "--health-interval US is the reporting period: every host uploads one\n"
         "epoch per tick of US microseconds (default 500, min 100).\n"
         "--collector-shards N must be at least 1 (default 2).\n");
@@ -367,23 +342,14 @@ int main(int argc, char** argv) {
 
   netsim::NetworkConfig cfg;
   cfg.queue_sample_interval = 0;
-  cfg.pfc.enabled = opt.pfc;
-  cfg.seed = opt.seed;
+  cfg.seed = opt.pipe.seed;
   auto net = netsim::Network::fat_tree(cfg, 4);
 
-  sketch::WaveSketchParams sp;
-  sp.depth = opt.depth;
-  sp.width = opt.width;
-  sp.levels = 8;
-  sp.k = opt.k;
-  std::vector<std::unique_ptr<sketch::WaveSketchFull>> sketches;
-  for (int h = 0; h < net->host_count(); ++h) {
-    sketches.push_back(std::make_unique<sketch::WaveSketchFull>(sp));
-  }
-
+  opt.pipe.hosts = net->host_count();
+  // The tick minimum (100 us) covers the channel's 50 us delay + jitter.
+  opt.pipe.channel_jitter = 20 * kMicro;
   // Chaos schedule, parsed before anything allocates so a bad plan exits
   // fast with a line number.
-  std::unique_ptr<resilience::FaultInjector> injector;
   if (!opt.fault_plan.empty()) {
     std::string err;
     auto plan = resilience::FaultPlan::parse_file(opt.fault_plan, &err);
@@ -391,7 +357,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bad --fault-plan: %s\n", err.c_str());
       return 2;
     }
-    injector = std::make_unique<resilience::FaultInjector>(std::move(*plan));
+    opt.pipe.fault_plan = std::move(*plan);
   }
   // Disk-fault schedule for the segment store. Same plan format, separate
   // file: the channel injector and the I/O shim each consume their own
@@ -410,185 +376,9 @@ int main(int argc, char** argv) {
     }
     disk_io = std::make_unique<store::FaultyIo>(*plan);
   }
+  opt.pipe.store.io = disk_io.get();
 
-  // The analyzer and the collector tier exist before the simulation
-  // starts: every tick streams one epoch through them mid-run.
-  analyzer::Analyzer an;
-  an.set_gap_fill(opt.gap_fill);
-  // Lineage tracker outlives every component it taps (link, collector,
-  // analyzer, store all hold raw pointers into it).
-  std::unique_ptr<obs::LineageTracker> lineage;
-  if (opt.lineage_requested()) {
-    lineage = std::make_unique<obs::LineageTracker>();
-    an.set_lineage(lineage.get());
-  }
-  // Durable store: attached as a write-through sink before any ingestion so
-  // every curve fragment the analyzer absorbs also lands in a segment file.
-  std::unique_ptr<store::Store> curve_store;
-  store::RecoveryInfo store_recovery;
-  if (opt.store_requested()) {
-    store::StoreConfig scfg;
-    scfg.dir = opt.store_dir;
-    scfg.tier_budget = opt.store_tier_budget;
-    scfg.io = disk_io.get();
-    curve_store = store::Store::open(scfg, &store_recovery);
-    if (!curve_store) {
-      std::fprintf(stderr, "cannot open --store-dir %s\n",
-                   opt.store_dir.c_str());
-      return 2;
-    }
-    an.set_curve_sink(curve_store.get());
-    if (lineage) curve_store->set_lineage(lineage.get());
-  }
-  collector::CollectorConfig ccfg;
-  ccfg.shards = opt.collector_shards;
-  collector::Collector col(ccfg, an);
-  if (lineage) col.set_lineage(lineage.get());
-
-  netsim::UploadChannelConfig ucfg;
-  ucfg.loss_rate = opt.report_loss;
-  ucfg.jitter = 20 * kMicro;
-  ucfg.seed = opt.seed;
-  netsim::UploadChannel channel(ucfg, nullptr);
-  std::unique_ptr<netsim::UploadChannel> reverse;
-  if (opt.uplink_reliable) {
-    // Acks ride their own channel instance with the same loss model — a
-    // reliable protocol over a reliable reverse path would be cheating.
-    netsim::UploadChannelConfig rcfg = ucfg;
-    rcfg.seed = opt.seed ^ 0xAC4BAC4ULL;
-    reverse = std::make_unique<netsim::UploadChannel>(rcfg, nullptr);
-  }
-  if (injector) {
-    // One injector serves both directions: single-threaded send order
-    // keeps the shared RNG stream reproducible.
-    auto hook = [inj = injector.get()](
-                    int host, Nanos now,
-                    std::vector<std::uint8_t>& payload) -> netsim::SendFault {
-      const resilience::FaultAction a = inj->on_send(host, now, payload);
-      return netsim::SendFault{a.drop, a.duplicates, a.extra_delay};
-    };
-    channel.set_fault_hook(hook);
-    if (reverse) reverse->set_fault_hook(hook);
-  }
-
-  // Every payload goes through the ReliableLink; in passthrough mode it
-  // forwards verbatim over the lossy channel.
-  resilience::ReliableConfig rcfg;
-  rcfg.enabled = opt.uplink_reliable;
-  rcfg.retx_buffer_frames = opt.uplink_retx_buffer;
-  resilience::ReliableLink link(rcfg, channel, reverse.get());
-  if (lineage) link.set_lineage(lineage.get());
-  link.set_deliver_hook([&col](int host, std::uint32_t epoch,
-                               std::vector<std::uint8_t>&& payload) {
-    // Malformed payloads surface in the end-of-run collector stats.
-    (void)col.submit_report_payload(host, epoch, std::move(payload));
-  });
-  channel.set_sink([&link](netsim::UploadChannel::Delivery&& d) {
-    link.on_forward_delivery(std::move(d));
-  });
-  if (reverse) {
-    reverse->set_sink([&link](netsim::UploadChannel::Delivery&& d) {
-      link.on_reverse_delivery(std::move(d));
-    });
-  }
-
-  std::unique_ptr<health::HealthMonitor> mon;
-  if (opt.health_requested()) {
-    health::HealthConfig hcfg;
-    hcfg.interval = opt.health_interval;
-    hcfg.alarms = opt.health_alarms;
-    mon = std::make_unique<health::HealthMonitor>(hcfg);
-    if (!mon->alarm_parse_error().empty()) {
-      std::fprintf(stderr, "bad --health-alarms: %s\n",
-                   mon->alarm_parse_error().c_str());
-      return 2;
-    }
-    mon->add_registry(&telemetry::MetricRegistry::global());
-    mon->add_registry(&col.telemetry_registry());
-    mon->add_registry(&link.telemetry_registry());
-    if (curve_store) mon->add_registry(&curve_store->telemetry_registry());
-    mon->set_analyzer(&an);
-    col.set_decode_event_hook([m = mon.get()](Nanos t) {
-      m->watermarks().note(health::Stage::kCollectorDecode, t);
-    });
-    col.set_curve_event_hook([m = mon.get()](Nanos t) {
-      m->watermarks().note(health::Stage::kAnalyzerCurve, t);
-    });
-  }
-
-  // Live observability plane: the server thread owns every socket; the
-  // driver only publishes snapshot strings and SSE events into it (both
-  // internally synchronized), so nothing here slows the packet path.
-  std::unique_ptr<serve::Server> http_server;
-  std::unique_ptr<serve::Endpoints> http_endpoints;
-  if (opt.serve_requested()) {
-    serve::ServeConfig scfg;
-    scfg.port = static_cast<std::uint16_t>(opt.serve_port);
-    http_server = std::make_unique<serve::Server>(scfg);
-    serve::Services svc;
-    svc.registries.push_back(&telemetry::MetricRegistry::global());
-    svc.registries.push_back(&col.telemetry_registry());
-    svc.registries.push_back(&link.telemetry_registry());
-    if (curve_store) {
-      svc.registries.push_back(&curve_store->telemetry_registry());
-      svc.store = curve_store.get();
-      svc.store_dir = opt.store_dir;
-      svc.store_rinfo = store_recovery;
-    }
-    svc.lineage = lineage.get();
-    http_endpoints = std::make_unique<serve::Endpoints>(*http_server, svc);
-    if (!http_server->start()) {
-      std::fprintf(stderr, "cannot serve on port %d\n", opt.serve_port);
-      return 2;
-    }
-    if (!opt.serve_port_file.empty()) {
-      std::ofstream pf(opt.serve_port_file);
-      if (!pf) {
-        std::fprintf(stderr, "cannot write %s\n",
-                     opt.serve_port_file.c_str());
-        return 2;
-      }
-      pf << http_server->port() << "\n";
-    }
-  }
-
-  analyzer::GroundTruth truth;
-  std::uint64_t packets = 0;
-  net->set_host_tx_hook([&, m = mon.get()](int host, const PacketRecord& r) {
-    ++packets;
-    truth.add(r.flow, r.timestamp, r.size);
-    sketches[static_cast<std::size_t>(host)]->update(
-        r.flow, r.timestamp, static_cast<Count>(r.size));
-    if (m != nullptr) {
-      m->watermarks().note(health::Stage::kPacketEvent, r.timestamp);
-      m->probe().observe(r.flow, r.timestamp, r.size);
-    }
-  });
-
-  uevent::EventScorer scorer;
-  uevent::AclMirror mirror(
-      uevent::AclRule::ce_sampled(opt.sample_bits),
-      [&scorer](const uevent::MirroredPacket& m) { scorer.collect(m); });
-  net->set_switch_enqueue_hook(
-      [&](netsim::PortId port, const PacketRecord& pkt) {
-        mirror.on_switch_enqueue(port, pkt, pkt.timestamp);
-      });
-
-  workload::WorkloadParams wp;
-  wp.hosts = net->host_count();
-  wp.load = opt.load;
-  wp.duration = opt.duration;
-  wp.seed = opt.seed;
-  workload::Workload w = workload::generate(opt.kind, wp);
-  if (opt.dctcp) {
-    for (auto& f : w.flows) f.use_dctcp = true;
-  }
-  workload::install(w, *net);
-
-  const Nanos horizon = opt.duration + 5 * kMilli;
-
-  // Scrub plane: periodic CRC re-verification of the sealed segments
-  // against the raw disk bytes, with every pass accumulated for the report
+  // Scrub audit: every pass the pipeline runs is accumulated for the report
   // and (optionally) streamed to a JSONL audit. Everything in the audit is
   // derived from the seeded simulation — pass index, segment ids, file
   // offsets — so two same-seed chaos runs write byte-identical audits.
@@ -602,19 +392,14 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  auto run_scrub = [&] {
-    if (!curve_store) return;
-    const store::ScrubReport r = curve_store->scrub();
+  opt.pipe.on_scrub = [&](const store::ScrubReport& r) {
     ++scrub_passes;
-    scrub_total.segments_scanned += r.segments_scanned;
     scrub_total.bytes_scanned += r.bytes_scanned;
     scrub_total.records_verified += r.records_verified;
     scrub_total.corrupt_records += r.corrupt_records;
     scrub_total.chunks_quarantined += r.chunks_quarantined;
     scrub_total.chunks_repaired += r.chunks_repaired;
     scrub_total.windows_lost += r.windows_lost;
-    scrub_total.findings.insert(scrub_total.findings.end(),
-                                r.findings.begin(), r.findings.end());
     if (scrub_audit_os) {
       scrub_audit_os << "{\"type\":\"scrub\",\"pass\":" << scrub_passes
                      << ",\"segments\":" << r.segments_scanned
@@ -639,28 +424,82 @@ int main(int argc, char** argv) {
     }
   };
 
-  // Durability barrier: fsync everything the analyzer has absorbed so far
-  // into the segment store, then let the compactor age sealed segments. The
-  // store-seal watermark advances to the analyzer-curve frontier — the store
-  // just made durable exactly what the analyzer had ingested.
-  std::uint64_t checkpoint_n = 0;
-  auto store_checkpoint = [&] {
-    if (!curve_store) return;
-    (void)curve_store->seal_epoch();
-    curve_store->maintain();
-    ++checkpoint_n;
-    if (opt.scrub_interval > 0 &&
-        checkpoint_n % static_cast<std::uint64_t>(opt.scrub_interval) == 0) {
-      run_scrub();
+  std::string pipeline_err;
+  std::unique_ptr<pipeline::Pipeline> pipe =
+      pipeline::Pipeline::create(opt.pipe, &pipeline_err);
+  if (!pipe) {
+    std::fprintf(stderr, "umon_sim: %s\n", pipeline_err.c_str());
+    return 2;
+  }
+  analyzer::Analyzer& an = pipe->analyzer();
+  const collector::Collector& col = pipe->collector();
+  store::Store* const curve_store = pipe->store();
+  health::HealthMonitor* const mon = pipe->monitor();
+  obs::LineageTracker* const lineage = pipe->lineage();
+
+  // Live observability plane: the server thread owns every socket; the
+  // driver only publishes snapshot strings and SSE events into it (both
+  // internally synchronized), so nothing here slows the packet path.
+  std::unique_ptr<serve::Server> http_server;
+  std::unique_ptr<serve::Endpoints> http_endpoints;
+  if (opt.serve_requested()) {
+    serve::ServeConfig scfg;
+    scfg.port = static_cast<std::uint16_t>(opt.serve_port);
+    http_server = std::make_unique<serve::Server>(scfg);
+    serve::Services svc;
+    svc.registries.push_back(&telemetry::MetricRegistry::global());
+    svc.registries.push_back(&col.telemetry_registry());
+    svc.registries.push_back(&pipe->link().telemetry_registry());
+    if (curve_store) {
+      svc.registries.push_back(&curve_store->telemetry_registry());
+      svc.store = curve_store;
+      svc.store_dir = opt.pipe.store.dir;
+      svc.store_rinfo = pipe->store_recovery();
     }
-    if (mon) {
-      const Nanos hi =
-          mon->watermarks().high(health::Stage::kAnalyzerCurve);
-      if (hi != health::Watermarks::kUnset) {
-        mon->watermarks().note(health::Stage::kStoreSeal, hi);
+    svc.lineage = lineage;
+    http_endpoints = std::make_unique<serve::Endpoints>(*http_server, svc);
+    if (!http_server->start()) {
+      std::fprintf(stderr, "cannot serve on port %d\n", opt.serve_port);
+      return 2;
+    }
+    if (!opt.serve_port_file.empty()) {
+      std::ofstream pf(opt.serve_port_file);
+      if (!pf) {
+        std::fprintf(stderr, "cannot write %s\n",
+                     opt.serve_port_file.c_str());
+        return 2;
       }
+      pf << http_server->port() << "\n";
     }
-  };
+  }
+
+  analyzer::GroundTruth truth;
+  std::uint64_t packets = 0;
+  net->set_host_tx_hook([&, p = pipe.get()](int host, const PacketRecord& r) {
+    ++packets;
+    truth.add(r.flow, r.timestamp, r.size);
+    p->on_packet(host, r);
+  });
+
+  uevent::EventScorer scorer;
+  uevent::AclMirror mirror(
+      uevent::AclRule::ce_sampled(opt.sample_bits),
+      [&scorer](const uevent::MirroredPacket& m) { scorer.collect(m); });
+  net->set_switch_enqueue_hook(
+      [&](netsim::PortId port, const PacketRecord& pkt) {
+        mirror.on_switch_enqueue(port, pkt, pkt.timestamp);
+      });
+
+  workload::WorkloadParams wp;
+  wp.hosts = net->host_count();
+  wp.load = opt.load;
+  wp.duration = opt.duration;
+  wp.seed = opt.pipe.seed;
+  const workload::Workload w = workload::generate(opt.kind, wp);
+  workload::install(w, *net);
+
+  const Nanos horizon = opt.duration + 5 * kMilli;
+
 
   // Publish the serve tier's snapshot slots and SSE events. Driven by the
   // simulation clock (tick boundaries and the end of the run), never the
@@ -713,217 +552,27 @@ int main(int argc, char** argv) {
     }
   };
 
-  // --- tick loop -------------------------------------------------------------
-  // Chunk the simulation by the reporting period. Each tick: apply due
-  // shard crash/restarts, run the network, settle its counters, deliver
-  // upload payloads and acks that are due, drive retransmit timers, seal
-  // epochs whose delivery has settled (flagging the windows of epochs the
-  // protocol declared lost), flush a fresh epoch from every non-stalled
-  // host, then drain the collector so every instrument is quiescent
-  // before the health sample is taken.
-  const Nanos tick_len = opt.health_interval;
-  std::vector<collector::HostUplink> uplinks;
-  uplinks.reserve(static_cast<std::size_t>(net->host_count()));
-  for (int h = 0; h < net->host_count(); ++h) {
-    uplinks.emplace_back(h, /*max_reports_per_payload=*/64);
-  }
-  struct PendingSeal {
-    int host;
-    std::uint32_t epoch;
-    std::uint32_t end_seq;
-    WindowId wfrom;  ///< first window this epoch covers
-    WindowId wto;    ///< exclusive
-    Nanos end_time;  ///< event time the epoch runs up to
-  };
-  std::vector<PendingSeal> awaiting;
-  std::vector<Nanos> last_flush(
-      static_cast<std::size_t>(net->host_count()), 0);
-
-  // Window flags wait for the next drain. A shard worker may still be
-  // flushing an earlier-sealed epoch into the analyzer, and the store
-  // stamps each record with the flags present when it lands, so flagging
-  // from this thread at once would race that flush and let thread timing
-  // reach the segment bytes.
-  struct PendingMark {
-    WindowId from;
-    WindowId to;
-    analyzer::WindowConfidence conf;
-  };
-  std::vector<PendingMark> marks;
-  auto apply_marks = [&] {
-    for (const PendingMark& m : marks) an.mark_windows(m.from, m.to, m.conf);
-    marks.clear();
-  };
-
-  // Sequence-gap losses found at seal time flag the epoch's windows, so
-  // an unrecovered (or unprotected) loss can never read back as a
-  // genuinely idle window.
-  std::map<std::uint64_t, std::pair<WindowId, WindowId>> epoch_windows;
-  col.set_epoch_loss_hook([&](int host, std::uint32_t epoch,
-                              std::uint64_t lost) {
-    if (lost == 0) return;
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(host))
-         << 32) | epoch;
-    auto it = epoch_windows.find(key);
-    if (it == epoch_windows.end()) return;
-    marks.push_back({it->second.first, it->second.second,
-                     analyzer::WindowConfidence::kLost});
-    if (lineage) {
-      lineage->on_verdict(static_cast<std::uint32_t>(host), epoch,
-                          obs::Verdict::kLost);
-    }
-  });
-  col.start();
-
-  // Seal every epoch in `awaiting` whose uplink delivery has settled
-  // (always true in passthrough mode: its payloads either landed within
-  // the previous tick or are gone for good). Seals stay in flush order
-  // per host — the collector's gap accounting chains epoch_start_seq
-  // from one seal to the next.
-  auto seal_settled = [&](bool force) {
-    std::set<int> blocked;
-    auto it = awaiting.begin();
-    while (it != awaiting.end()) {
-      const resilience::EpochStatus st =
-          link.epoch_status(it->host, it->epoch);
-      if ((opt.uplink_reliable && !st.settled && !force) ||
-          blocked.count(it->host) != 0) {
-        blocked.insert(it->host);
-        ++it;
-        continue;
-      }
-      // The protocol's word on the epoch, mirrored into the audit.
-      // Sequence-gap losses found later at seal time upgrade it via the
-      // epoch-loss hook; the tracker keeps the worst.
-      obs::Verdict v = obs::Verdict::kCovered;
-      if (opt.uplink_reliable && !st.recovered) {
-        marks.push_back(
-            {it->wfrom, it->wto, analyzer::WindowConfidence::kLost});
-        v = obs::Verdict::kLost;
-      } else if (opt.uplink_reliable && st.retransmitted) {
-        marks.push_back(
-            {it->wfrom, it->wto, analyzer::WindowConfidence::kRetransmitted});
-        v = obs::Verdict::kRetransmitted;
-      }
-      if (lineage) {
-        lineage->on_verdict(static_cast<std::uint32_t>(it->host), it->epoch,
-                            v);
-      }
-      col.seal_epoch(it->host, it->epoch, it->end_seq);
-      // Settlement is the resilience watermark: every frame of this
-      // epoch was delivered or explicitly declared lost.
-      if (mon) {
-        mon->watermarks().note(health::Stage::kResilience, it->end_time);
-      }
-      it = awaiting.erase(it);
-    }
-  };
-
-  if (mon) mon->prime(0);
-  Nanos t = 0;
-  for (t = tick_len; ; t += tick_len) {
-    if (t > horizon) t = horizon;
-    if (injector) {
-      for (const auto& ev : injector->take_due_shard_events(t)) {
-        if (ev.restart) {
-          col.restart_shard(ev.shard);
-        } else {
-          col.crash_shard(ev.shard);
-        }
-      }
-    }
-    net->run_until(t);
+  // The network runs one reporting period at a time; the pipeline carries
+  // each period's epochs from the host sketches to the analyzer.
+  const auto run_network = [&](Nanos now) {
+    net->run_until(now);
     net->settle_telemetry();
-    channel.advance_to(t);
-    if (reverse) reverse->advance_to(t);
-    link.tick(t);
-    // Quiesce the shards before sealing: seal-time accounting (sequence
-    // gaps, crash damage) must see every batch the workers were handed.
-    col.drain();
-    apply_marks();
-    seal_settled(/*force=*/false);
-    for (int h = 0; h < net->host_count(); ++h) {
-      if (injector != nullptr && injector->host_stalled(h, t)) {
-        continue;  // the sketch keeps accumulating; next flush covers it
-      }
-      auto up = uplinks[static_cast<std::size_t>(h)].flush_epoch(
-          *sketches[static_cast<std::size_t>(h)]);
-      if (mon) mon->watermarks().note(health::Stage::kSketchSeal, t);
-      const std::size_t hi = static_cast<std::size_t>(h);
-      PendingSeal ps{h, up.epoch, up.end_seq,
-                     window_of(last_flush[hi]), window_of(t), t};
-      epoch_windows[(static_cast<std::uint64_t>(
-                         static_cast<std::uint32_t>(h))
-                     << 32) | up.epoch] = {ps.wfrom, ps.wto};
-      if (lineage) {
-        lineage->on_uplink_flush(static_cast<std::uint32_t>(h), up.epoch,
-                                 static_cast<std::uint32_t>(up.reports),
-                                 static_cast<std::uint32_t>(
-                                     up.payloads.size()),
-                                 static_cast<std::uint64_t>(t), ps.wfrom,
-                                 ps.wto);
-      }
-      last_flush[hi] = t;
-      for (auto& p : up.payloads) {
-        link.send(h, up.epoch, std::move(p.bytes), t);
-      }
-      awaiting.push_back(ps);
-    }
-    col.drain();
-    apply_marks();
-    store_checkpoint();
-    if (mon) mon->tick(t);
-    serve_publish(t);
-    if (t >= horizon) break;
-  }
+  };
+  const Nanos t = pipe->run(horizon, run_network, serve_publish);
   net->finish();
-
-  if (opt.uplink_reliable) {
-    // Settlement tail: keep stepping simulated time so in-flight frames,
-    // acks, and retransmits can land. Bounded — a frame that cannot make
-    // it within the retry budget expires rather than spinning forever.
-    int rounds = 0;
-    while (!link.all_settled() && rounds++ < 256) {
-      t += tick_len;
-      channel.advance_to(t);
-      if (reverse) reverse->advance_to(t);
-      link.tick(t);
-    }
-    link.expire_outstanding();
-  }
-  channel.flush();
-  if (reverse) reverse->flush();
-  col.drain();
-  apply_marks();
-  seal_settled(/*force=*/true);
-  col.submit_mirror_batch(scorer.mirrored());
-  col.stop();
-  apply_marks();
+  pipe->finish(t, scorer.mirrored());
   const collector::CollectorStats cstats = col.stats();
-  // The tail seals above flushed the last epochs into the analyzer (and
-  // its spill sink); one final checkpoint makes them durable.
-  store_checkpoint();
-  // Final sample: the tail seals above are where sequence-gap losses are
-  // accounted, so the closing tick is what lets a loss alarm fire even
-  // when the loss only materializes at shutdown.
-  if (mon) mon->tick(horizon + tick_len);
-  serve_publish(horizon + tick_len);
+  serve_publish(horizon + opt.pipe.tick);
 
+  const sketch::WaveSketchParams sp;
   std::printf("uMon simulation report\n");
-  std::printf("  workload:        %s, %.0f%% load, %.1f ms, %s%s\n",
+  std::printf("  workload:        %s, %.0f%% load, %.1f ms, DCQCN\n",
               workload::to_string(opt.kind).c_str(), opt.load * 100,
-              static_cast<double>(opt.duration) / 1e6,
-              opt.dctcp ? "DCTCP" : "DCQCN", opt.pfc ? " + PFC" : "");
+              static_cast<double>(opt.duration) / 1e6);
   std::printf("  flows / packets: %zu / %llu\n", w.flows.size(),
               static_cast<unsigned long long>(packets));
   std::printf("  drops:           %llu\n",
               static_cast<unsigned long long>(net->total_drops()));
-  if (opt.pfc) {
-    std::printf("  PFC pauses:      %llu (total paused %.1f us)\n",
-                static_cast<unsigned long long>(net->pfc_stats().pause_frames),
-                static_cast<double>(net->pfc_stats().total_paused) / 1e3);
-  }
 
   // uFlow accuracy over heavy flows.
   double cos = 0, are = 0;
@@ -942,8 +591,8 @@ int main(int argc, char** argv) {
     are += m.are;
     ++evaluated;
   }
-  std::printf("\nuFlow (WaveSketch d=%d w=%u K=%zu)\n", opt.depth, opt.width,
-              opt.k);
+  std::printf("\nuFlow (WaveSketch d=%d w=%u K=%zu)\n", sp.depth, sp.width,
+              sp.k);
   if (evaluated > 0) {
     std::printf("  heavy flows evaluated: %d\n", evaluated);
     std::printf("  avg cosine similarity: %.4f\n", cos / evaluated);
@@ -979,11 +628,12 @@ int main(int argc, char** argv) {
                   1e6);
 
   std::printf("\ncollector (%d shards, %.1f%% report loss)\n",
-              opt.collector_shards, opt.report_loss * 100);
+              opt.pipe.collector_shards, opt.pipe.report_loss * 100);
   std::printf("  payloads:        %llu submitted, %llu dropped in channel, "
               "%llu malformed\n",
               static_cast<unsigned long long>(cstats.payloads_submitted),
-              static_cast<unsigned long long>(channel.payloads_dropped()),
+              static_cast<unsigned long long>(
+                  pipe->channel().payloads_dropped()),
               static_cast<unsigned long long>(cstats.payloads_malformed));
   std::printf("  reports:         %llu decoded, %llu lost (seq gaps), "
               "%llu shed\n",
@@ -1017,11 +667,11 @@ int main(int argc, char** argv) {
   }
 
   std::uint64_t epochs_unrecovered = 0;
-  if (opt.uplink_reliable) {
-    const resilience::ReliableStats rs = link.stats();
+  if (opt.pipe.uplink_reliable) {
+    const resilience::ReliableStats rs = pipe->link().stats();
     epochs_unrecovered = rs.epochs_unrecovered;
     std::printf("\nreliable uplink (retx buffer %zu frames)\n",
-                link.config().retx_buffer_frames);
+                pipe->link().config().retx_buffer_frames);
     std::printf("  frames:          %llu sent, %llu retransmitted, "
                 "%llu acked, %llu expired, %llu evicted\n",
                 static_cast<unsigned long long>(rs.frames_sent),
@@ -1051,7 +701,7 @@ int main(int argc, char** argv) {
                 retx_windows, lost_windows,
                 an.curves().gap_fill() ? " (gap-filled on read)" : "");
   }
-  if (injector) {
+  if (const resilience::FaultInjector* injector = pipe->injector()) {
     const resilience::FaultStats& fs = injector->stats();
     std::printf("\nfault injection (%s)\n", opt.fault_plan.c_str());
     std::printf("  injected:        %llu drops, %llu duplicates, "
@@ -1088,12 +738,13 @@ int main(int argc, char** argv) {
   // Closing scrub: whatever rot the plan injected after the last periodic
   // pass must be found, quarantined, and accounted before the report (and
   // before the --require-recovered verdict).
-  if (curve_store && opt.scrub_requested()) run_scrub();
+  if (curve_store && opt.scrub_requested()) pipe->scrub();
 
   if (curve_store) {
     const store::StoreStats ss = curve_store->stats();
+    const store::RecoveryInfo& store_recovery = pipe->store_recovery();
     std::printf("\ndurable store (%s, tier budget K=%zu)\n",
-                opt.store_dir.c_str(), opt.store_tier_budget);
+                opt.pipe.store.dir.c_str(), opt.pipe.store.tier_budget);
     if (store_recovery.segments_opened > 0 ||
         store_recovery.torn_tails_truncated > 0 ||
         store_recovery.tmp_files_removed > 0) {
@@ -1156,12 +807,12 @@ int main(int argc, char** argv) {
       }
     }
     std::printf("  query it back:   umon_query --store-dir %s --op sum\n",
-                opt.store_dir.c_str());
+                opt.pipe.store.dir.c_str());
   }
 
   if (mon) {
     std::printf("\nhealth (sampled every %.0f us)\n",
-                static_cast<double>(opt.health_interval) / 1e3);
+                static_cast<double>(opt.pipe.tick) / 1e3);
     std::printf("  samples:         %llu ticks, %zu series\n",
                 static_cast<unsigned long long>(mon->ticks()),
                 mon->store().series_count());
@@ -1362,22 +1013,22 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (opt.require_recovered && opt.store_requested()) {
-    // Post-run store audit: drop the live handle, reopen the directory
-    // read-only through the real kernel I/O (the injected faults are over),
-    // and scrub once more. Recovery must cope with whatever the chaos run
-    // left on disk, and nothing corrupt may remain reachable — a record the
-    // quarantine missed here is a byte a later query would serve.
-    an.set_curve_sink(nullptr);
-    curve_store.reset();
+    // Post-run store audit: drop the pipeline and its live store handle,
+    // reopen the directory read-only through the real kernel I/O (the
+    // injected faults are over), and scrub once more. Recovery must cope
+    // with whatever the chaos run left on disk, and nothing corrupt may
+    // remain reachable — a record the quarantine missed here is a byte a
+    // later query would serve.
+    pipe.reset();
     store::StoreConfig vcfg;
-    vcfg.dir = opt.store_dir;
-    vcfg.tier_budget = opt.store_tier_budget;
+    vcfg.dir = opt.pipe.store.dir;
+    vcfg.tier_budget = opt.pipe.store.tier_budget;
     store::RecoveryInfo vinfo;
     const std::unique_ptr<store::Store> verify =
         store::Store::open(vcfg, &vinfo, /*writable=*/false);
     if (!verify) {
       std::fprintf(stderr, "--require-recovered: store %s did not reopen\n",
-                   opt.store_dir.c_str());
+                   opt.pipe.store.dir.c_str());
       return 1;
     }
     const store::ScrubReport vr = verify->scrub();

@@ -308,9 +308,11 @@ HttpResponse Endpoints::get_query(const HttpRequest& req,
   q.flows = std::move(flows);
   q.src_host = host;
 
-  // Serialized-response cache: same identity as the engine's LRU plus the
-  // output format. A generation bump (seal/roll/compaction) simply stops
-  // matching — stale bytes cannot be served.
+  // Serialized-response cache, the only query cache: keyed on the query
+  // fingerprint, the store generation and the output format. A generation
+  // bump (seal/roll/compaction/quarantine) simply stops matching. Appends
+  // do not bump it, so a body that read the unsealed tail can go stale
+  // within one generation.
   const CacheKey key{store::QueryEngine::fingerprint(q),
                      svc_.store->generation(),
                      static_cast<std::uint8_t>(csv ? 1 : 0)};

@@ -11,8 +11,8 @@
 namespace umon::store {
 namespace {
 
-/// FNV-1a mixing for the cache key. The fingerprint is the key identity (no
-/// exact query comparison behind it), so every selection field is folded in.
+/// FNV-1a mixing for the fingerprint. It is a cache key's identity (no exact
+/// query comparison behind it), so every selection field is folded in.
 std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (8 * i)) & 0xFF;
@@ -42,29 +42,8 @@ std::uint64_t QueryEngine::fingerprint(const Query& q) {
   return h;
 }
 
-QueryResult QueryEngine::run(const Query& q) {
+QueryResult QueryEngine::run(const Query& q) const {
   if (q.from >= q.to || q.resolution == 0) return QueryResult{};
-  const CacheKey key{fingerprint(q), store_.generation()};
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    ++hits_;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    QueryResult result = it->second.result;
-    result.cache_hit = true;
-    return result;
-  }
-  ++misses_;
-  QueryResult result = execute(q);
-  lru_.push_front(key);
-  cache_[key] = CacheEntry{result, lru_.begin()};
-  while (cache_.size() > cache_entries_ && !lru_.empty()) {
-    cache_.erase(lru_.back());
-    lru_.pop_back();
-  }
-  return result;
-}
-
-QueryResult QueryEngine::execute(const Query& q) const {
   UMON_PROF_SCOPE(kQueryExec);
   QueryResult result;
   result.from = q.from;

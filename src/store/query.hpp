@@ -8,16 +8,12 @@
 // reconstructed on demand (wavelet::reconstruct) — nothing is materialized
 // ahead of the query.
 //
-// Results are memoized in a small LRU keyed on (query fingerprint, store
-// generation): a seal, roll, compaction or quarantine bumps the generation
-// and old entries stop matching. Appends do not bump it, so an entry that
-// read the unsealed tail can go stale within one generation.
+// The engine keeps no cache: every run() reads the store. Repeat queries
+// are answered by umon::serve's response cache, keyed on fingerprint().
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "analyzer/curve_store.hpp"
@@ -66,64 +62,26 @@ struct QueryResult {
   std::vector<double> series;
   /// Worst store-wide confidence mark inside each bucket.
   std::vector<analyzer::WindowConfidence> confidence;
-  bool cache_hit = false;
 };
 
 class QueryEngine {
  public:
-  explicit QueryEngine(Store& store, std::size_t cache_entries = 32)
-      : store_(store), cache_entries_(cache_entries) {}
+  explicit QueryEngine(Store& store) : store_(store) {}
 
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  /// Execute (or replay from cache). Invalid queries (from >= to,
+  /// Execute against the store. Invalid queries (from >= to,
   /// resolution == 0) return an empty result.
-  [[nodiscard]] QueryResult run(const Query& q);
+  [[nodiscard]] QueryResult run(const Query& q) const;
 
-  struct CacheStats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::size_t entries = 0;
-  };
-  [[nodiscard]] CacheStats cache_stats() const {
-    return CacheStats{hits_, misses_, cache_.size()};
-  }
-
-  /// Stable FNV-1a identity for a query's selection fields. Public so
-  /// outer caches (the HTTP response cache in umon::serve) can key on the
-  /// same (fingerprint, store generation) pair as the engine's own LRU.
+  /// Stable FNV-1a identity for a query's selection fields, the key of
+  /// outer caches (the HTTP response cache in umon::serve) together with
+  /// the store generation.
   [[nodiscard]] static std::uint64_t fingerprint(const Query& q);
-  void clear_cache() {
-    cache_.clear();
-    lru_.clear();
-  }
 
  private:
-  struct CacheKey {
-    std::uint64_t fingerprint = 0;
-    std::uint64_t generation = 0;
-    bool operator==(const CacheKey&) const = default;
-  };
-  struct CacheKeyHash {
-    std::size_t operator()(const CacheKey& k) const {
-      return static_cast<std::size_t>(k.fingerprint ^
-                                      (k.generation * 0x9E3779B97F4A7C15ull));
-    }
-  };
-  struct CacheEntry {
-    QueryResult result;
-    std::list<CacheKey>::iterator lru_pos;
-  };
-
-  [[nodiscard]] QueryResult execute(const Query& q) const;
-
   Store& store_;
-  std::size_t cache_entries_;
-  std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;
-  std::list<CacheKey> lru_;  ///< front = most recently used
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 }  // namespace umon::store

@@ -446,6 +446,53 @@ TEST(ServeOverload, AdmissionShedsUncachedKeepsCacheAndCheapEndpoints) {
   EXPECT_EQ(counter_value(server.registry(), "umon_serve_shed_total"), 3u);
 }
 
+TEST(ServeHttp, QueryCacheHitsAndGenerationInvalidation) {
+  TempDir dir("qcache");
+  auto st = make_query_store(dir.path);
+  ASSERT_NE(st, nullptr);
+  Server server{ServeConfig{}};
+  Services svc;
+  svc.store = st.get();
+  svc.store_dir = dir.path;
+  Endpoints ep{server, svc};
+  const LoadHint calm;
+
+  // One bucket over the whole store: windows 10 and 11 hold 1 + 2 bytes.
+  const std::string range =
+      "/api/v1/query?from_us=0&to_us=100000&resolution=100000";
+  const std::string q = range + "&op=sum";
+  const HttpResponse first = ep.route(parsed(q), calm).response;
+  ASSERT_EQ(first.status, 200);
+  EXPECT_NE(first.body.find("\"bytes\":3.0"), std::string::npos)
+      << first.body;
+  EXPECT_EQ(ep.cache_stats().misses, 1u);
+  EXPECT_EQ(ep.cache_stats().hits, 0u);
+
+  // The repeat is answered from the cache with the same bytes.
+  EXPECT_EQ(ep.route(parsed(q), calm).response.body, first.body);
+  EXPECT_EQ(ep.cache_stats().hits, 1u);
+
+  // A different query is a different fingerprint, and the same query in
+  // another format is a different body: both miss.
+  EXPECT_EQ(ep.route(parsed(range + "&op=max"), calm).response.status, 200);
+  EXPECT_EQ(ep.route(parsed(q + "&format=csv"), calm).response.status, 200);
+  EXPECT_EQ(ep.cache_stats().misses, 3u);
+  EXPECT_EQ(ep.cache_stats().hits, 1u);
+
+  // New sealed data bumps the generation: the cached body stops matching
+  // and the fresh one sees the new window.
+  const FlowKey flow{1, 2, 80, 443, 6};
+  st->append_sparse(flow, std::vector<std::pair<WindowId, double>>{
+                              {static_cast<WindowId>(12), 4.0}});
+  ASSERT_TRUE(st->seal_epoch());
+  const HttpResponse after = ep.route(parsed(q), calm).response;
+  ASSERT_EQ(after.status, 200);
+  EXPECT_EQ(ep.cache_stats().misses, 4u);
+  EXPECT_EQ(ep.cache_stats().hits, 1u);
+  EXPECT_NE(after.body.find("\"bytes\":7.0"), std::string::npos)
+      << after.body;
+}
+
 TEST(ServeOverload, SocketShedCarriesRetryAfterHeader) {
   TempDir dir("shed_sock");
   auto st = make_query_store(dir.path);

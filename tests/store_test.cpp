@@ -1088,43 +1088,6 @@ TEST(StoreQuery, RepeatedMarksKeepTheWorstClass) {
   expect_records(*reopened);
 }
 
-TEST(StoreQuery, CacheHitsAndGenerationInvalidation) {
-  TempDir dir("qcache");
-  StoreConfig cfg;
-  cfg.dir = dir.path;
-  cfg.tier1_age_epochs = 0;
-  auto st = Store::open(cfg);
-  ASSERT_NE(st, nullptr);
-  const FlowKey f = make_flow(1);
-  st->append_sparse(f, std::vector<std::pair<WindowId, double>>{
-                           {static_cast<WindowId>(0), 1.0}});
-  ASSERT_TRUE(st->seal_epoch());
-
-  QueryEngine engine(*st);
-  Query q;
-  q.from = 0;
-  q.to = 8;
-  EXPECT_FALSE(engine.run(q).cache_hit);
-  EXPECT_TRUE(engine.run(q).cache_hit);
-  EXPECT_EQ(engine.cache_stats().hits, 1u);
-
-  // A different query is a different fingerprint.
-  Query q2 = q;
-  q2.op = GroupOp::kMax;
-  EXPECT_FALSE(engine.run(q2).cache_hit);
-
-  // New sealed data bumps the generation: the cached entry stops matching
-  // and the fresh result sees the new window.
-  st->append_sparse(f, std::vector<std::pair<WindowId, double>>{
-                           {static_cast<WindowId>(1), 2.0}});
-  ASSERT_TRUE(st->seal_epoch());
-  const QueryResult r = engine.run(q);
-  EXPECT_FALSE(r.cache_hit);
-  double total = 0;
-  for (double v : r.series) total += v;
-  EXPECT_DOUBLE_EQ(total, 3.0);
-}
-
 TEST(StoreQuery, HostileRangeClampsToStoreExtent) {
   TempDir dir("clamp");
   StoreConfig cfg;
@@ -1177,9 +1140,9 @@ bool curve_extent(Store& st, WindowId& lo, WindowId& hi) {
   return have;
 }
 
-/// QueryEngine::run without its cache, as it read the store before
-/// visit_flows(): full-scan extent and flow list, one visit_flow per flow,
-/// one worst_confidence per bucket.
+/// QueryEngine::run as it read the store before visit_flows(): full-scan
+/// extent and flow list, one visit_flow per flow, one worst_confidence per
+/// bucket.
 QueryResult execute(Store& st, const Query& q) {
   QueryResult result;
   if (q.from >= q.to || q.resolution == 0) return result;
@@ -1416,7 +1379,7 @@ void expect_index_matches_reference(Store& st, Lcg& rng,
   }
   for (std::size_t i = 0; i < queries.size(); ++i) {
     SCOPED_TRACE("query " + std::to_string(i));
-    QueryEngine engine(st);  // fresh: appends do not bump the generation
+    QueryEngine engine(st);
     expect_same_result(engine.run(queries[i]),
                        reference::execute(st, queries[i]));
   }
